@@ -7,11 +7,13 @@
 //!   compute the right product (the simulator only proved they touch the
 //!   right blocks);
 //! * [`gemm_parallel`] runs the tilings the algorithms prescribe with a
-//!   rayon thread pool, one task per `C` tile, which is how the schedules
-//!   map onto a real shared-memory machine (the paper's "future work:
-//!   implement all algorithms on state-of-the-art multicore machines").
+//!   rayon thread pool, every core taking row chunks of each `C` tile,
+//!   which is how the schedules map onto a real shared-memory machine
+//!   (the paper's "future work: implement all algorithms on
+//!   state-of-the-art multicore machines").
 //!
-//! Inside each task, SIMD variants run a BLIS-style 5-loop macro-kernel:
+//! Inside each work unit, SIMD variants run a BLIS-style 5-loop
+//! macro-kernel:
 //!
 //! ```text
 //! jc over NC columns of the tile          (B panel chosen)
@@ -205,11 +207,13 @@ fn check_gemm_shapes<T: Element>(a: &BlockMatrixOf<T>, b: &BlockMatrixOf<T>, til
 
 /// `C = A × B` with rayon tasks over `tiling`-sized `C` tiles.
 ///
-/// Each task computes one `C` tile completely (all `k` panels in ascending
-/// order), mirroring how the paper's algorithms hand whole `C` tiles /
-/// sub-blocks to cores so that each output block is written by exactly one
-/// core. Within a task, SIMD variants run the 5-loop macro-kernel under
-/// [`blocking::active_plan`].
+/// Each task computes one work unit completely (all `k` panels in
+/// ascending order): a `C` tile, or a row chunk of one when there are too
+/// few tiles to keep every thread busy (see `work_units`). This mirrors
+/// how the paper's algorithms hand each shared-cache tile to all cores,
+/// each owning its sub-blocks, so that each output block is written by
+/// exactly one core. Within a task, SIMD variants run the 5-loop
+/// macro-kernel under [`blocking::active_plan`].
 ///
 /// # Panics
 /// Panics if the shapes or block sides are incompatible or the tiling has
@@ -281,13 +285,13 @@ fn gemm_parallel_inner<T: Element>(
     let q = a.q();
     let mut c = BlockMatrixOf::<T>::zeros(m, n, q);
 
-    let tiles = enumerate_tiles(m, n, tiling);
+    let units = work_units(m, n, tiling, rayon::current_num_threads());
     let cptr = SendPtr(c.data_mut().as_mut_ptr());
     // The caller's trace context, carried into the pool closures (worker
     // threads cannot see the caller's thread-local job).
     let job = span::current_job();
-    tiles.par_iter().for_each(|&tile| {
-        run_tile(variant, a, b, cptr, z, tiling, plan, tile, job, cancel);
+    units.par_iter().for_each(|&unit| {
+        run_tile(variant, a, b, cptr, z, tiling, plan, unit, job, cancel);
     });
     if cancel.is_some_and(CancelToken::is_cancelled) {
         return None;
@@ -295,8 +299,8 @@ fn gemm_parallel_inner<T: Element>(
     Some(c)
 }
 
-/// `C += A × B` with rayon tasks over `tiling`-sized `C` tiles,
-/// accumulating into the caller's `c` instead of zeroing it.
+/// `C += A × B` with rayon tasks over the work units of `tiling`-sized
+/// `C` tiles, accumulating into the caller's `c` instead of zeroing it.
 ///
 /// This is the panel-grained entry point the out-of-core executor
 /// streams through: each prefetched `(A panel, B panel)` pair is one
@@ -336,17 +340,17 @@ pub fn gemm_accumulate_cancellable<T: Element>(
     assert_eq!((c.rows(), c.cols(), c.q()), (a.rows(), b.cols(), a.q()));
     let (m, n, z) = (a.rows(), b.cols(), a.cols());
     let plan = blocking::active_plan::<T>();
-    let tiles = enumerate_tiles(m, n, tiling);
+    let units = work_units(m, n, tiling, rayon::current_num_threads());
     let cptr = SendPtr(c.data_mut().as_mut_ptr());
     let job = span::current_job();
-    tiles.par_iter().for_each(|&tile| {
-        run_tile(variant, a, b, cptr, z, tiling, plan, tile, job, cancel);
+    units.par_iter().for_each(|&unit| {
+        run_tile(variant, a, b, cptr, z, tiling, plan, unit, job, cancel);
     });
     !cancel.is_some_and(CancelToken::is_cancelled)
 }
 
 /// One wall-clock task record from [`gemm_parallel_traced`]: which worker
-/// thread computed which `C` tile, and when.
+/// thread computed which `C` tile (or row chunk of one), and when.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TaskSpan {
     /// Rayon worker-thread index that ran the task, or `None` when the
@@ -369,7 +373,7 @@ pub struct TaskSpan {
 }
 
 /// [`gemm_parallel`] plus a wall-clock flight record: returns the product
-/// and one [`TaskSpan`] per `C` tile (thread id, tile coordinates,
+/// and one [`TaskSpan`] per work unit (thread id, unit coordinates,
 /// start/duration). Spans are sorted by start time.
 ///
 /// Built on the unified span recorder ([`mmc_obs::span`]): the run gets
@@ -418,6 +422,48 @@ pub fn task_spans_to_chrome(spans: &[TaskSpan]) -> String {
     b.finish()
 }
 
+/// The work units a `threads`-way parallel call runs: the `tiling`'s `C`
+/// tiles, each split into near-equal row chunks of at most about
+/// `1/(2·threads)` of the product's blocks, largest first.
+///
+/// This is the paper's per-core share of a shared-cache tile: every core
+/// works on each big tile, so a one-tile product or a ragged edge no
+/// longer leaves cores idle. Each unit still covers whole `C` blocks
+/// through all of `k`, so the per-element accumulation order — and every
+/// result bit — is the same as one task per tile. About two units per
+/// thread keeps the dynamic claim order balanced without duplicating
+/// much `B` packing (each chunk packs its tile's `B` panels itself). A
+/// single thread runs the tiles as they are.
+pub(crate) fn work_units(
+    m: u32,
+    n: u32,
+    tiling: Tiling,
+    threads: usize,
+) -> Vec<(u32, u32, u32, u32)> {
+    let tiles = enumerate_tiles(m, n, tiling);
+    if threads <= 1 {
+        return tiles;
+    }
+    let area = |&(_, th, _, tw): &(u32, u32, u32, u32)| th as u64 * tw as u64;
+    let total: u64 = tiles.iter().map(area).sum();
+    let target = total.div_ceil(2 * threads as u64).max(1);
+    let mut units = Vec::with_capacity(tiles.len());
+    for tile @ (i0, th, j0, tw) in tiles {
+        let chunks = area(&tile).div_ceil(target).min(th as u64) as u32;
+        let (base, extra) = (th / chunks, th % chunks);
+        let mut r = i0;
+        for c in 0..chunks {
+            let rows = base + u32::from(c < extra);
+            units.push((r, rows, j0, tw));
+            r += rows;
+        }
+    }
+    // Largest first: greedy claiming then approximates a longest-
+    // processing-time schedule, so a small edge unit finishes the call.
+    units.sort_by_key(|u| std::cmp::Reverse(area(u)));
+    units
+}
+
 /// Tile decomposition of an `m×n` block grid (clamped at the edges).
 fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> {
     let mut tiles = Vec::new();
@@ -435,7 +481,8 @@ fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> 
     tiles
 }
 
-/// Compute one `C` tile completely (all `k` panels in ascending order).
+/// Compute one work unit — a `C` tile or a row chunk of one — completely
+/// (all `k` panels in ascending order).
 ///
 /// SIMD kernel variants take the packed 5-loop path under `plan`; the
 /// scalar fallback streams unpacked blocks through the original per-block
@@ -499,8 +546,8 @@ fn worker_thread() -> Option<u32> {
 /// Mutable view of `C` block `(i, j)` through the shared tile pointer.
 ///
 /// # Safety
-/// Block `(i, j)` must belong to the caller's tile — tiles partition the
-/// `(i, j)` index grid and each tile is processed by exactly one task, so
+/// Block `(i, j)` must belong to the caller's unit — units partition the
+/// `(i, j)` index grid and each unit is processed by exactly one task, so
 /// the slice is never aliased. The offset is in bounds for `i < m`,
 /// `j < n`.
 #[inline]
@@ -544,7 +591,7 @@ fn run_tile_blockwise<T: Element>(
         let pc_start = if tracing { span::now_ns() } else { 0 };
         for i in i0..i0 + th {
             for j in j0..j0 + tw {
-                // SAFETY: see `c_block_mut` — (i, j) is owned by this tile.
+                // SAFETY: see `c_block_mut` — (i, j) is owned by this unit.
                 let cblk = unsafe { c_block_mut(cptr, ncols, q2, i, j) };
                 for k in k0..k0 + kb {
                     kernel::block_fma_with(variant, cblk, a.block(i, k), b.block(k, j), q);
@@ -656,7 +703,7 @@ fn run_tile_packed<T: Element>(
                         for bi in 0..ih {
                             let apack = &arena.a[bi as usize * a_stride..][..a_stride];
                             // SAFETY: see `c_block_mut` — (i0+ic+bi,
-                            // j0+jc+bj) is owned by this tile.
+                            // j0+jc+bj) is owned by this unit.
                             let cblk =
                                 unsafe { c_block_mut(cptr, ncols, q2, i0 + ic + bi, j0 + jc + bj) };
                             kernel::packed::block_mul_packed(variant, cblk, q, kc, apack, bpack);
@@ -991,8 +1038,11 @@ mod tests {
         let tiling = Tiling { tile_m: 4, tile_n: 3, tile_k: 2 };
         let (c, spans) = gemm_parallel_traced(&a, &b, tiling);
         assert_eq!(c, oracle);
-        // One span per tile, tiles partition the 9×7 grid.
-        assert_eq!(spans.len(), 3 * 3);
+        // One span per work unit: the 3×3 tiles, split into row chunks
+        // when the host has many threads; units partition the 9×7 grid.
+        let units = work_units(9, 7, tiling, rayon::current_num_threads()).len();
+        assert!(units >= 3 * 3);
+        assert_eq!(spans.len(), units);
         let covered: u64 = spans.iter().map(|s| s.rows as u64 * s.cols as u64).sum();
         assert_eq!(covered, 9 * 7);
         assert!(spans.iter().all(|s| s.dur_us >= 0.0 && s.start_us >= 0.0));
@@ -1056,6 +1106,108 @@ mod tests {
         assert!(text.contains("\"name\":\"caller\""));
         assert!(text.contains("\"tid\":1,\"args\":{\"name\":\"caller\"}"));
         assert!(text.contains("\"name\":\"tile C[1..2, 1..2]\",\"ph\":\"X\",\"pid\":1,\"tid\":1"));
+    }
+
+    /// Every `(threads, shape, tiling)` the split tests sweep: one-tile
+    /// products, equal tile grids, ragged edges and degenerate tilings.
+    fn split_cases() -> Vec<(usize, u32, u32, Tiling)> {
+        let sq = |t: u32| Tiling { tile_m: t, tile_n: t, tile_k: 1 };
+        let mut cases = Vec::new();
+        for threads in [1, 2, 3, 4, 8] {
+            for (m, n, tiling) in [
+                (16, 16, sq(16)),
+                (24, 24, sq(16)),
+                (40, 40, sq(16)),
+                (20, 20, sq(16)),
+                (32, 32, sq(16)),
+                (9, 7, Tiling { tile_m: 4, tile_n: 3, tile_k: 2 }),
+                (5, 30, sq(30)),
+                (1, 1, sq(1)),
+                (13, 7, sq(64)),
+            ] {
+                cases.push((threads, m, n, tiling));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn work_units_partition_every_c_block_exactly_once() {
+        for (threads, m, n, tiling) in split_cases() {
+            let mut hits = vec![0u32; (m * n) as usize];
+            for (i0, th, j0, tw) in work_units(m, n, tiling, threads) {
+                assert!(th > 0 && tw > 0 && th <= tiling.tile_m && tw <= tiling.tile_n);
+                for i in i0..i0 + th {
+                    for j in j0..j0 + tw {
+                        hits[(i * n + j) as usize] += 1;
+                    }
+                }
+            }
+            assert!(hits.iter().all(|&h| h == 1), "{threads} threads, {m}x{n}, {tiling:?}");
+        }
+    }
+
+    #[test]
+    fn work_units_are_near_equal_when_tile_rows_allow_it() {
+        let mut checked = 0;
+        for (threads, m, n, tiling) in split_cases() {
+            let tiles = enumerate_tiles(m, n, tiling);
+            let units = work_units(m, n, tiling, threads);
+            if threads == 1 {
+                assert_eq!(units, tiles, "one thread runs the tiles as they are");
+                continue;
+            }
+            // Rows allow a near-equal split when every tile has the same
+            // shape and at least four rows per chunk, or rows divide evenly.
+            let chunks = units.len() / tiles.len();
+            let th = tiles[0].1;
+            let uniform = tiles.iter().all(|t| (t.1, t.3) == (tiles[0].1, tiles[0].3))
+                && units.len().is_multiple_of(tiles.len());
+            if !(uniform && (th.is_multiple_of(chunks as u32) || th >= 4 * chunks as u32)) {
+                continue;
+            }
+            let work: Vec<f64> = units.iter().map(|u| (u.1 * u.3) as f64).collect();
+            let max = work.iter().cloned().fold(0.0, f64::max);
+            let mean = work.iter().sum::<f64>() / work.len() as f64;
+            assert!(max / mean <= 1.25, "{threads} threads, {m}x{n}: max/mean {}", max / mean);
+            // About two units per thread, as far as the rows go.
+            assert!(units.len() >= (2 * threads).min(tiles.len() * th as usize));
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} cases exercised the bound");
+    }
+
+    /// The split moves unit boundaries, never the per-element `k` order:
+    /// a four-thread run is bit-identical to the single-thread pool for a
+    /// one-tile product and a ragged panel accumulation, in f64 and f32.
+    #[test]
+    fn split_runs_are_bit_identical_to_a_single_thread_run() {
+        fn check<T: Element>() {
+            let four = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+            let tiling = Tiling { tile_m: 16, tile_n: 16, tile_k: 1 };
+            for v in kernel::variants_available() {
+                // One 16×16-block tile: split into row chunks on 4 threads.
+                let a = BlockMatrixOf::<T>::pseudo_random(16, 16, 8, 41);
+                let b = BlockMatrixOf::<T>::pseudo_random(16, 16, 8, 42);
+                let plan = blocking::active_plan::<T>();
+                let one = single_thread_pool()
+                    .install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
+                let split = four.install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
+                assert!(split == one, "variant {v}: one-tile product");
+
+                // A ragged 20×20-block panel under 16×16 tiling, into a
+                // non-zero C.
+                let a = BlockMatrixOf::<T>::pseudo_random(20, 4, 8, 43);
+                let b = BlockMatrixOf::<T>::pseudo_random(4, 20, 8, 44);
+                let c0 = BlockMatrixOf::<T>::pseudo_random(20, 20, 8, 45);
+                let (mut c1, mut c4) = (c0.clone(), c0);
+                single_thread_pool().install(|| gemm_accumulate(&mut c1, &a, &b, tiling, v));
+                four.install(|| gemm_accumulate(&mut c4, &a, &b, tiling, v));
+                assert!(c4 == c1, "variant {v}: ragged accumulate");
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

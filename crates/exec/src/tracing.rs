@@ -22,7 +22,7 @@ use crate::blocking::BlockingPlan;
 use crate::kernel::elem::Element;
 use crate::kernel::KernelVariant;
 use crate::matrix::BlockMatrixOf;
-use crate::runner::{gemm_parallel_with_plan, TaskSpan, Tiling};
+use crate::runner::{gemm_parallel_with_plan, work_units, TaskSpan, Tiling};
 use mmc_obs::span::{self, SpanKind, SpanRecord};
 use mmc_obs::{DriftReport, PhaseSample};
 use mmc_sim::ChromeTraceBuilder;
@@ -66,7 +66,8 @@ pub fn run_traced<T: Element>(
 }
 
 /// The tile-level flight record of a traced run: one [`TaskSpan`] per
-/// `C` tile, start times relative to the run's epoch, sorted by start.
+/// work unit (a `C` tile or a row chunk of one), start times relative to
+/// the run's epoch, sorted by start.
 pub fn task_spans(run: &TracedRun) -> Vec<TaskSpan> {
     let mut out: Vec<TaskSpan> = run
         .spans
@@ -153,6 +154,9 @@ pub struct ExecModel {
     pub elem_bytes: usize,
     /// Tiling the run used (tiles bound the per-tile loop extents).
     pub tiling: Tiling,
+    /// Threads the run could use, which decides how tiles split into
+    /// work units (see `runner::work_units`).
+    pub threads: usize,
     /// Single-thread peak for the dispatched kernel, GFLOP/s — measured
     /// span time is *summed across threads* (CPU-seconds), so the
     /// prediction must be priced at one thread's roof, not the chip's.
@@ -182,6 +186,7 @@ impl ExecModel {
             q: a.q(),
             elem_bytes: std::mem::size_of::<T>(),
             tiling,
+            threads: rayon::current_num_threads(),
             peak_gflops: mmc_obs::peak_gflops_estimate(
                 1,
                 mmc_obs::cpu_ghz_estimate(),
@@ -198,26 +203,20 @@ impl ExecModel {
     }
 
     /// Predicted pack traffic in bytes, per side, from the five-loop
-    /// model applied tile by tile: `A` is repacked once per `jc` pass
-    /// (`th·z·⌈tw/NC_b⌉` blocks per tile — the `m·z·⌈n/NC⌉` term of
-    /// `M_S`), `B` is packed once per `(jc, pc)` (`tw·z` blocks per
-    /// tile — the `z·n` term).
+    /// model applied work unit by work unit: `A` is repacked once per
+    /// `jc` pass (`th·z·⌈tw/NC_b⌉` blocks per unit — the `m·z·⌈n/NC⌉`
+    /// term of `M_S`), `B` is packed once per `(jc, pc)` (`tw·z` blocks
+    /// per unit — the `z·n` term, repeated for every row chunk of a
+    /// split tile).
     pub fn pack_bytes(&self, plan: BlockingPlan) -> (u64, u64) {
         let nc_b = ((plan.nc / self.q).max(1)) as u64;
         let block_bytes = (self.q * self.q * self.elem_bytes) as u64;
         let (mut a_blocks, mut b_blocks) = (0u64, 0u64);
-        let mut i0 = 0;
-        while i0 < self.m {
-            let th = self.tiling.tile_m.min(self.m - i0) as u64;
-            let mut j0 = 0;
-            while j0 < self.n {
-                let tw = self.tiling.tile_n.min(self.n - j0) as u64;
-                let jc_passes = tw.div_ceil(nc_b.min(tw).max(1));
-                a_blocks += th * self.z as u64 * jc_passes;
-                b_blocks += tw * self.z as u64;
-                j0 += tw as u32;
-            }
-            i0 += th as u32;
+        for (_, th, _, tw) in work_units(self.m, self.n, self.tiling, self.threads) {
+            let (th, tw) = (th as u64, tw as u64);
+            let jc_passes = tw.div_ceil(nc_b.min(tw).max(1));
+            a_blocks += th * self.z as u64 * jc_passes;
+            b_blocks += tw * self.z as u64;
         }
         (a_blocks * block_bytes, b_blocks * block_bytes)
     }
@@ -318,15 +317,18 @@ mod tests {
             assert!(run.spans.is_empty());
             return;
         }
-        // 4 tiles, each with at least one span per active loop level.
+        // 4 tiles (split into work units on a multicore), each unit with
+        // at least one span per active loop level.
+        let units = work_units(6, 6, tiling, rayon::current_num_threads()).len();
+        assert!(units >= 4);
         let count = |k: SpanKind| run.spans.iter().filter(|s| s.kind == k).count();
-        assert_eq!(count(SpanKind::Tile), 4);
-        assert!(count(SpanKind::LoopPc) >= 4, "pc spans on every path");
+        assert_eq!(count(SpanKind::Tile), units);
+        assert!(count(SpanKind::LoopPc) >= units, "pc spans on every path");
         if kernel::variant().is_simd() {
-            assert!(count(SpanKind::LoopJc) >= 4);
-            assert!(count(SpanKind::LoopIc) >= 4);
-            assert!(count(SpanKind::PackA) >= 4);
-            assert!(count(SpanKind::PackB) >= 4);
+            assert!(count(SpanKind::LoopJc) >= units);
+            assert!(count(SpanKind::LoopIc) >= units);
+            assert!(count(SpanKind::PackA) >= units);
+            assert!(count(SpanKind::PackB) >= units);
         }
         // Every span belongs to this run's job.
         assert!(run.spans.iter().all(|s| s.job == run.job));
@@ -344,7 +346,8 @@ mod tests {
         assert_ne!(first.job, second.job);
         assert!(second.spans.iter().all(|s| s.job == second.job));
         if span::enabled() {
-            assert_eq!(second.spans.iter().filter(|s| s.kind == SpanKind::Tile).count(), 4);
+            let units = work_units(4, 4, tiling, rayon::current_num_threads()).len();
+            assert_eq!(second.spans.iter().filter(|s| s.kind == SpanKind::Tile).count(), units);
         }
     }
 
@@ -382,30 +385,39 @@ mod tests {
 
     #[test]
     fn pack_byte_accounting_matches_the_five_loop_terms() {
-        // Whole problem as one tile: the pack predictions reduce to the
-        // exact M_S terms m·z·⌈n/NC⌉ and z·n, and the packed path's
-        // measured `pred` bytes (logical panel bytes) must agree.
+        // Whole problem as one tile: on one thread the pack predictions
+        // reduce to the exact M_S terms m·z·⌈n/NC⌉ and z·n; on four the
+        // tile splits into row chunks that each pack B. Either way the
+        // packed path's measured `pred` bytes (logical panel bytes) must
+        // agree with the model.
         let variant = kernel::variant();
         if !variant.is_simd() {
             return;
         }
         let (m, n, z, q) = (6u32, 8u32, 5u32, 4usize);
         let tiling = Tiling { tile_m: m, tile_n: n, tile_k: 1 };
-        let (a, b, run) = traced(m, n, z, q, tiling);
-        if !span::enabled() {
-            return;
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let (run, model) = pool.install(|| {
+                let (a, b, run) = traced(m, n, z, q, tiling);
+                (run, ExecModel::for_run(&a, &b, tiling, variant))
+            });
+            if !span::enabled() {
+                return;
+            }
+            let (pack_a_bytes, pack_b_bytes) = model.pack_bytes(run.plan);
+            let nc_b = ((run.plan.nc / q).max(1) as u64).min(n as u64);
+            let block = (q * q * 8) as u64;
+            assert_eq!(pack_a_bytes, m as u64 * z as u64 * (n as u64).div_ceil(nc_b) * block);
+            let chunks = work_units(m, n, tiling, threads).len() as u64;
+            assert_eq!(chunks == 1, threads == 1);
+            assert_eq!(pack_b_bytes, chunks * z as u64 * n as u64 * block);
+            let logical = |kind: SpanKind| -> u64 {
+                run.spans.iter().filter(|s| s.kind == kind).map(|s| s.pred).sum()
+            };
+            assert_eq!(logical(SpanKind::PackA), pack_a_bytes);
+            assert_eq!(logical(SpanKind::PackB), pack_b_bytes);
         }
-        let model = ExecModel::for_run(&a, &b, tiling, variant);
-        let (pack_a_bytes, pack_b_bytes) = model.pack_bytes(run.plan);
-        let nc_b = ((run.plan.nc / q).max(1) as u64).min(n as u64);
-        let block = (q * q * 8) as u64;
-        assert_eq!(pack_a_bytes, m as u64 * z as u64 * (n as u64).div_ceil(nc_b) * block);
-        assert_eq!(pack_b_bytes, z as u64 * n as u64 * block);
-        let logical = |kind: SpanKind| -> u64 {
-            run.spans.iter().filter(|s| s.kind == kind).map(|s| s.pred).sum()
-        };
-        assert_eq!(logical(SpanKind::PackA), pack_a_bytes);
-        assert_eq!(logical(SpanKind::PackB), pack_b_bytes);
     }
 
     #[test]

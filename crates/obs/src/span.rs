@@ -11,10 +11,12 @@
 //! ## Design
 //!
 //! * **No allocation or locking on the hot path.** Each thread owns a
-//!   fixed-capacity ring of seqlock slots, created lazily on its first
-//!   emit and registered once (one `Mutex` lock, amortized to zero) in a
-//!   process-global list. [`emit`] is a thread-local lookup plus nine
-//!   relaxed atomic stores.
+//!   fixed-capacity ring of seqlock slots, taken on its first emit (one
+//!   `Mutex` lock, amortized to zero) from a process-global list. When
+//!   the thread exits its ring goes to a free list and the next new
+//!   thread adopts it, so short-lived threads do not each leave a ring
+//!   behind. [`emit`] is a thread-local lookup plus nine relaxed atomic
+//!   stores.
 //! * **Overwrite-oldest.** A ring that fills wraps and overwrites its
 //!   oldest spans; the most recent `capacity` spans per thread always
 //!   survive. Each slot carries a sequence word (odd while a write is in
@@ -327,11 +329,50 @@ impl ThreadRing {
     }
 }
 
-/// Process-global list of every thread's ring (registration only; the
-/// hot path never touches it).
-fn rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<ThreadRing>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+/// Every ring ever created, plus the rings of exited threads that no
+/// thread owns right now (registration and recycling only; the hot path
+/// never touches it).
+struct Rings {
+    /// Every ring, registered for good: an exited thread's spans stay
+    /// collectable until its ring's next owner overwrites them.
+    all: Vec<Arc<ThreadRing>>,
+    /// Rings whose thread exited, waiting for a new thread to adopt them.
+    free: Vec<Arc<ThreadRing>>,
+}
+
+fn lock_rings() -> std::sync::MutexGuard<'static, Rings> {
+    static RINGS: Mutex<Rings> = Mutex::new(Rings { all: Vec::new(), free: Vec::new() });
+    // Every update is a single push or pop, so a poisoned list is still
+    // valid; and `LocalRing::drop` must not panic.
+    RINGS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The calling thread's ring: a recycled one if some thread has exited,
+/// else a new one, registered once.
+fn adopt_ring() -> Arc<ThreadRing> {
+    let mut rings = lock_rings();
+    if let Some(ring) = rings.free.pop() {
+        return ring;
+    }
+    let ring = Arc::new(ThreadRing::new(ring_capacity()));
+    rings.all.push(Arc::clone(&ring));
+    ring
+}
+
+/// Thread-local ring slot. Dropped when its thread exits, which hands
+/// the ring to the free list, so the number of rings stays bounded by
+/// the peak number of live emitting threads rather than growing with
+/// every short-lived I/O or job thread.
+struct LocalRing(OnceLock<Arc<ThreadRing>>);
+
+impl Drop for LocalRing {
+    fn drop(&mut self) {
+        // The owner is gone, so the ring's single-writer rule carries
+        // over to whichever thread adopts it next.
+        if let Some(ring) = self.0.take() {
+            lock_rings().free.push(ring);
+        }
+    }
 }
 
 /// Per-thread ring capacity: `MMC_SPAN_RING` spans, default
@@ -348,7 +389,7 @@ pub fn ring_capacity() -> usize {
 }
 
 thread_local! {
-    static LOCAL_RING: OnceLock<Arc<ThreadRing>> = const { OnceLock::new() };
+    static LOCAL_RING: LocalRing = const { LocalRing(OnceLock::new()) };
     static CURRENT_JOB: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -401,8 +442,9 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Record one span on the calling thread's ring (lazily created and
-/// registered on first use). No-op while recording is disabled.
+/// Record one span on the calling thread's ring (adopted from an exited
+/// thread or created and registered on first use). No-op while recording
+/// is disabled.
 #[allow(clippy::too_many_arguments)]
 pub fn emit(
     job: u64,
@@ -418,14 +460,9 @@ pub fn emit(
         return;
     }
     let rec = SpanRecord { job, kind, thread, start_ns, dur_ns, pred, val, args };
-    LOCAL_RING.with(|cell| {
-        cell.get_or_init(|| {
-            let ring = Arc::new(ThreadRing::new(ring_capacity()));
-            rings().lock().unwrap().push(ring.clone());
-            ring
-        })
-        .push(&rec);
-    });
+    // `try_with`: a span emitted while this thread's locals are being
+    // torn down is dropped rather than panicking.
+    let _ = LOCAL_RING.try_with(|local| local.0.get_or_init(adopt_ring).push(&rec));
 }
 
 fn sort_spans(spans: &mut [SpanRecord]) {
@@ -439,7 +476,7 @@ fn sort_spans(spans: &mut [SpanRecord]) {
 /// collection idempotent, and rings recycle by overwriting.
 pub fn collect_job(job: u64) -> Vec<SpanRecord> {
     let mut out = Vec::new();
-    for ring in rings().lock().unwrap().iter() {
+    for ring in &lock_rings().all {
         out.extend(ring.scan().into_iter().filter(|r| r.job == job));
     }
     sort_spans(&mut out);
@@ -451,7 +488,7 @@ pub fn collect_job(job: u64) -> Vec<SpanRecord> {
 /// path: takes the registration mutex, never blocks writers.
 pub fn drain() -> Vec<SpanRecord> {
     let mut out = Vec::new();
-    for ring in rings().lock().unwrap().iter() {
+    for ring in &lock_rings().all {
         out.extend(ring.collect_new());
     }
     sort_spans(&mut out);
@@ -560,6 +597,26 @@ mod tests {
         emit(job, SpanKind::Tile, Some(1), 4000, 1, 1, 1, [0; 4]);
         let starts: Vec<u64> = collect_job(job).iter().map(|r| r.start_ns).collect();
         assert_eq!(starts, vec![3000, 4000, 5000]);
+    }
+
+    #[test]
+    fn exited_threads_hand_their_rings_to_new_threads() {
+        let _g = global_lock();
+        let job = new_job();
+        let before = lock_rings().all.len();
+        // One short-lived thread at a time: at most one live emitter
+        // besides this test thread.
+        for i in 0..200u32 {
+            std::thread::spawn(move || emit(job, SpanKind::Read, None, now_ns(), 1, 1, 1, [i; 4]))
+                .join()
+                .unwrap();
+        }
+        let created = lock_rings().all.len() - before;
+        assert!(created <= 2, "200 sequential threads created {created} rings");
+        // Adopted rings keep their earlier spans: all 200 are collectable.
+        let mut seen: Vec<u32> = collect_job(job).iter().map(|r| r.args[0]).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..200).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -139,7 +139,18 @@ impl Server {
                     let shared = Arc::clone(&shared);
                     let h =
                         thread::spawn(move || run_job(&shared.scheduler, id, spec, price, token));
-                    handles.lock().unwrap().push(h);
+                    let mut handles = handles.lock().unwrap();
+                    // Reap finished job threads as we go, so the list holds
+                    // only running jobs instead of one handle per job ever run.
+                    let mut i = 0;
+                    while i < handles.len() {
+                        if handles[i].is_finished() {
+                            let _ = handles.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    handles.push(h);
                 }
             })
         };
@@ -152,6 +163,9 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    // Replies are small single writes: send them at once
+                    // instead of waiting out the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     let shared = Arc::clone(&shared);
                     thread::spawn(move || {
                         let _ = handle_connection(stream, &shared);
@@ -493,12 +507,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> 
         if line.trim().is_empty() {
             continue;
         }
-        let (resp, shutdown_after) = match protocol::parse_request(&line) {
+        let (mut resp, shutdown_after) = match protocol::parse_request(&line) {
             Ok(req) => handle_request(req, shared),
             Err(e) => (protocol::error_line(&e), false),
         };
+        // Reply and newline in one write: one segment per reply.
+        resp.push('\n');
         writer.write_all(resp.as_bytes())?;
-        writer.write_all(b"\n")?;
         writer.flush()?;
         if shutdown_after {
             shared.initiate_shutdown();

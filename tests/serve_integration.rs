@@ -30,8 +30,9 @@ impl Client {
     }
 
     fn call(&mut self, request: &str) -> Value {
-        self.writer.write_all(request.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        // Request and newline in one write, so Nagle never holds the
+        // newline back waiting for the server's delayed ACK.
+        self.writer.write_all(format!("{request}\n").as_bytes()).unwrap();
         self.writer.flush().unwrap();
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response line");
