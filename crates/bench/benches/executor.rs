@@ -5,7 +5,7 @@
 //! multicore machines").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mmc_exec::{gemm_blocked, gemm_naive, gemm_parallel, BlockMatrix, Tiling};
+use mmc_exec::{gemm_naive, gemm_parallel, BlockMatrix, Tiling};
 use mmc_sim::MachineConfig;
 
 fn bench_kernel(c: &mut Criterion) {
@@ -62,12 +62,13 @@ fn bench_gemm_variants(c: &mut Criterion) {
         ("tradeoff", Tiling::tradeoff(&machine).unwrap()),
         ("equal_thirds", Tiling::equal(machine.shared_capacity).unwrap()),
     ];
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     for (name, tiling) in tilings {
         g.bench_with_input(BenchmarkId::new("parallel", name), &tiling, |bench, t| {
             bench.iter(|| gemm_parallel(&a, &b, *t))
         });
         g.bench_with_input(BenchmarkId::new("blocked_1thread", name), &tiling, |bench, t| {
-            bench.iter(|| gemm_blocked(&a, &b, *t))
+            bench.iter(|| one_thread.install(|| gemm_parallel(&a, &b, *t)))
         });
     }
     g.finish();

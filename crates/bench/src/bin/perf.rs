@@ -5,7 +5,7 @@
 //! cargo run -p mmc-bench --release --bin perf -- --check BENCH_exec.json
 //! ```
 //!
-//! Writes `BENCH_exec.json` (parallel/blocked GEMM wall-clock, a
+//! Writes `BENCH_exec.json` (GEMM wall-clock on every thread and on one, a
 //! per-micro-kernel-variant comparison at q=64 in both f64 and f32 so
 //! the dispatched SIMD path's speedup over the scalar fallback is
 //! recorded, an out-of-core streamed run of the same product at a
@@ -29,8 +29,8 @@ use mmc_bench::{run_figure_sharded, HarnessOpts, Setting};
 use mmc_core::algorithms::all_algorithms;
 use mmc_core::ProblemSpec;
 use mmc_exec::{
-    blocking, exec_drift, gemm_blocked, gemm_parallel, gemm_parallel_with_kernel, kernel,
-    run_traced, BlockMatrix, BlockMatrixOf, ExecModel, Tiling,
+    blocking, exec_drift, gemm_parallel, gemm_parallel_with_plan, kernel, run_traced, BlockMatrix,
+    BlockMatrixOf, ExecModel, Tiling,
 };
 use mmc_obs::{span, PerfCounters, RooflineRecord};
 use mmc_sim::MachineConfig;
@@ -101,7 +101,10 @@ fn main() {
     let machine = MachineConfig::quad_q32();
     let dispatched = kernel::variant().name();
 
-    // Executor suite: parallel vs cached single-thread blocked GEMM.
+    // Executor suite: the parallel GEMM on every thread vs on a
+    // one-thread pool (built once, outside the timed closures).
+    let one_thread =
+        rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("one-thread pool");
     let a = BlockMatrix::pseudo_random(order, order, q, 1);
     let b = BlockMatrix::pseudo_random(order, order, q, 2);
     let flops = 2.0 * (order as f64 * q as f64).powi(3);
@@ -128,7 +131,7 @@ fn main() {
             kernel: dispatched.into(),
         });
         let secs = best_seconds(10, || {
-            std::hint::black_box(gemm_blocked(&a, &b, tiling));
+            std::hint::black_box(one_thread.install(|| gemm_parallel(&a, &b, tiling)));
         });
         exec_records.push(PerfRecord {
             suite: "exec".into(),
@@ -142,9 +145,10 @@ fn main() {
     }
 
     // Kernel comparison: the same parallel GEMM at q=64 under every
-    // micro-kernel variant this host supports. The dispatched SIMD
-    // record vs the scalar record *is* the packing + register-blocking
-    // speedup claim, kept machine-readable.
+    // micro-kernel variant this host supports. Every variant runs the
+    // same packed 5-loop path, so the dispatched SIMD record vs the
+    // scalar record *is* the vector register kernel's speedup claim,
+    // kept machine-readable.
     let kq = 64;
     let korder = 6u32;
     let ka = BlockMatrix::pseudo_random(korder, korder, kq, 3);
@@ -154,14 +158,12 @@ fn main() {
     let mut drift_reports = Vec::new();
     let bandwidth_gbs = mmc_obs::stream_triad_bandwidth_gbs();
     if let Some(tiling) = Tiling::tradeoff(&machine) {
-        // The 5-loop plans the SIMD variants run under (scalar bypasses
-        // the macro-kernel, so its records carry no blocking).
-        let plan64 = blocking::active_plan::<f64>().to_string();
-        let plan32 = blocking::active_plan::<f32>().to_string();
+        // The 5-loop plans every variant runs under.
+        let (plan64, plan32) = (blocking::active_plan::<f64>(), blocking::active_plan::<f32>());
+        let (plan64_name, plan32_name) = (plan64.to_string(), plan32.to_string());
         for v in kernel::variants_available() {
-            let plan = if v.is_simd() { plan64.as_str() } else { "" };
             let secs = best_seconds(5, || {
-                std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
+                std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
             });
             exec_records.push(PerfRecord {
                 suite: "exec".into(),
@@ -177,7 +179,7 @@ fn main() {
             roofline.push(roofline_point(
                 &format!("gemm_q64/{}", v.name()),
                 v.name(),
-                plan,
+                &plan64_name,
                 korder,
                 kq,
                 8,
@@ -185,7 +187,7 @@ fn main() {
                 secs,
                 bandwidth_gbs,
                 || {
-                    std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
+                    std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
                 },
             ));
         }
@@ -196,9 +198,8 @@ fn main() {
         let kb32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 4);
         for v in kernel::variants_available() {
             let kname = format!("{}_f32", v.name());
-            let plan = if v.is_simd() { plan32.as_str() } else { "" };
             let secs = best_seconds(5, || {
-                std::hint::black_box(gemm_parallel_with_kernel(&ka32, &kb32, tiling, v));
+                std::hint::black_box(gemm_parallel_with_plan(&ka32, &kb32, tiling, v, plan32));
             });
             exec_records.push(PerfRecord {
                 suite: "exec".into(),
@@ -212,7 +213,7 @@ fn main() {
             roofline.push(roofline_point(
                 &format!("gemm_q64_f32/{}", v.name()),
                 &kname,
-                plan,
+                &plan32_name,
                 korder,
                 kq,
                 4,
@@ -220,7 +221,7 @@ fn main() {
                 secs,
                 bandwidth_gbs,
                 || {
-                    std::hint::black_box(gemm_parallel_with_kernel(&ka32, &kb32, tiling, v));
+                    std::hint::black_box(gemm_parallel_with_plan(&ka32, &kb32, tiling, v, plan32));
                 },
             ));
         }
@@ -232,7 +233,7 @@ fn main() {
         let spans_were_on = span::enabled();
         span::set_enabled(false);
         let secs = best_seconds(5, || {
-            std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
+            std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
         });
         span::set_enabled(spans_were_on);
         exec_records.push(PerfRecord {

@@ -12,7 +12,7 @@
 
 fn main() {
     use mmc_exec::kernel::{block_fma_with, variant, variants_available};
-    use mmc_exec::{blocking, gemm_parallel_with_kernel, BlockMatrix, Tiling};
+    use mmc_exec::{blocking, gemm_parallel_with_plan, BlockMatrix, Tiling};
 
     // Resolves MMC_KERNEL (and exits with the valid-variant list on a
     // bogus value) before any timing starts.
@@ -30,7 +30,7 @@ fn main() {
         let mut best = f64::INFINITY;
         for _ in 0..5 {
             let t0 = std::time::Instant::now();
-            std::hint::black_box(gemm_parallel_with_kernel(&a, &b, tiling, v));
+            std::hint::black_box(gemm_parallel_with_plan(&a, &b, tiling, v, plan));
             best = best.min(t0.elapsed().as_secs_f64());
         }
         println!(

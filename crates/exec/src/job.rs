@@ -8,17 +8,16 @@
 //! Cancellation is cooperative. A [`CancelToken`] is a cheap clonable
 //! handle over a shared flag; the compute loops poll it at coarse,
 //! allocation-free boundaries — the `jc` macro-loop of the packed
-//! 5-loop path and the `k0` panel boundary of the blockwise path (and,
-//! in `mmc-ooc`, the panel-stage boundary before each prefetch claim).
+//! 5-loop path (and, in `mmc-ooc`, the panel-stage boundary before each
+//! prefetch claim).
 //! Polling at loop tops keeps the hot micro-kernel unchanged: a cancel
 //! is observed within one macro-panel of work, which is milliseconds at
 //! the shapes the server runs, while the steady-state overhead is one
 //! relaxed atomic load per macro iteration.
 //!
-//! A cancelled [`crate::gemm_parallel_cancellable`] returns `None` and
-//! leaves only its own (abandoned) output buffer behind; every worker
-//! thread observes the flag independently, so the rayon pool is
-//! reusable immediately.
+//! A cancelled [`crate::gemm_into`] returns `false` and leaves only its
+//! own (abandoned) output buffer behind; every worker thread observes
+//! the flag independently, so the rayon pool is reusable immediately.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

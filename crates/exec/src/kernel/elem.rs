@@ -66,7 +66,7 @@ pub trait Element:
     ) -> bool;
 
     /// `c += a × b` on unpacked row-major `q×q` blocks through variant
-    /// `v` — the entry the blockwise executors and the naive oracle use.
+    /// `v` — the entry the schedule replayer and the naive oracle use.
     fn block_fma(v: KernelVariant, c: &mut [Self], a: &[Self], b: &[Self], q: usize);
 
     /// Run `f` with this thread's packing arena for this element type.

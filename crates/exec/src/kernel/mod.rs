@@ -15,8 +15,9 @@
 //!   `B` column-panels into contiguous micro-panel layout (the Maximum
 //!   Reuse residency pattern — a `µ×µ` tile of `C`, a row of `A`, a
 //!   column of `B` — materialized in memory order);
-//! * [`packed`] — the driver that runs the register kernels over packed
-//!   micro-panels for the parallel executor's tiles.
+//! * [`packed`] — the driver that runs the register kernels (or, for the
+//!   scalar variant, an unfused loop) over packed micro-panels for the
+//!   parallel executor's tiles.
 //!
 //! # Dispatch
 //!
@@ -34,8 +35,7 @@
 //! (vector lanes and scalar edges alike), the scalar variant uses an
 //! unfused multiply+add everywhere. Results are therefore
 //! **bit-identical across executors** (`gemm_naive`, `run_schedule`,
-//! `gemm_parallel` packed or not, any `MC/KC/NC` blocking) for any fixed
-//! variant, which the test suite checks with `==`. Switching variants
+//! `gemm_into` under any `MC/KC/NC` blocking) for any fixed variant, which the test suite checks with `==`. Switching variants
 //! changes rounding (fused vs unfused), so cross-variant comparisons use
 //! a tolerance.
 
@@ -75,8 +75,8 @@ impl KernelVariant {
         }
     }
 
-    /// Whether this variant drives the packed-panel path (everything but
-    /// the scalar fallback does).
+    /// Whether this variant has vector register kernels (everything but
+    /// the scalar fallback does) and so rounds with fused multiply-add.
     pub fn is_simd(self) -> bool {
         !matches!(self, KernelVariant::Scalar)
     }

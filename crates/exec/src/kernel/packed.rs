@@ -8,10 +8,12 @@
 //! into a scratch `MR×NR` tile (the panels are zero-padded to full
 //! register width, so the pad lanes accumulate exact zeros) and copy the
 //! live corner back. Every element therefore takes one fused
-//! multiply-add per ascending `k` step regardless of which path ran — a
-//! packed update is bit-identical to the same variant's unpacked
-//! [`super::block_fma_with`] applied `k`-block by `k`-block, and edge
-//! tiles run at vector speed instead of a latency-bound scalar chain.
+//! multiply-add per ascending `k` step regardless of which path ran, and
+//! edge tiles run at vector speed instead of a latency-bound scalar
+//! chain. The scalar variant (and any variant the CPU cannot run) takes
+//! one *unfused* multiply then add per ascending `k` step instead. Either
+//! way a packed update is bit-identical to the same variant's unpacked
+//! [`super::block_fma_with`] applied `k`-block by `k`-block.
 
 use super::elem::Element;
 use super::KernelVariant;
@@ -21,11 +23,10 @@ use super::KernelVariant;
 /// `apack` is this block row's packed micro-panels (`⌈q/MR⌉·kc·MR`
 /// elements), `bpack` this block column's (`⌈q/NR⌉·kc·NR` elements), with
 /// `kc` the element depth of the current `k` panel. Accumulation per `C`
-/// element is ascending `k` with one fused multiply-add per step.
-///
-/// A variant the CPU cannot run falls back to the fused scalar remainder
-/// for every tile (callers dispatch the scalar kernel before packing, so
-/// this is a safety net, not a fast path).
+/// element is ascending `k` with one multiply-accumulate per step: fused
+/// for SIMD variants, unfused for the scalar one. A variant the CPU
+/// cannot run degrades to the scalar kernel, as
+/// [`super::block_fma_with`] does.
 ///
 /// # Panics
 /// Panics (in debug builds) if the slice sizes disagree with `q`/`kc`.
@@ -59,11 +60,15 @@ pub fn block_mul_packed<T: Element>(
             let mrc = mr.min(q - ip * mr);
             let ap = &apack[ip * kc * mr..][..kc * mr];
             let coff = ip * mr * q + jp * nr;
-            if vector && mrc == mr && nrc == nr {
+            if !vector {
+                micro_unfused(kc, ap, bp, &mut cblk[coff..], q, mrc, nrc);
+                continue;
+            }
+            if mrc == mr && nrc == nr {
                 if T::micro_full(v, kc, ap, bp, &mut cblk[coff..], q) {
                     continue;
                 }
-            } else if vector {
+            } else {
                 for r in 0..mrc {
                     scratch[r * nr..r * nr + nrc].copy_from_slice(&cblk[coff + r * q..][..nrc]);
                 }
@@ -79,10 +84,51 @@ pub fn block_mul_packed<T: Element>(
     }
 }
 
-/// Fused scalar micro-kernel over packed panels for partial register
-/// tiles: updates the `mr×nr` corner of the tile at `c` (row stride
-/// `ldc`), one fused `mul_add` per `k` step, ascending `k` —
-/// bit-identical to the vector lanes.
+/// Unfused scalar micro-kernel over packed panels: updates the `mr×nr`
+/// corner of the tile at `c` (row stride `ldc`) with `acc = acc + a·b`
+/// per ascending `k` step — the rounding sequence of
+/// [`super::scalar::block_fma_scalar`].
+///
+/// Rows go two at a time with full-width `NR` accumulators in a local
+/// array: `2·NR` accumulators fit the baseline target's sixteen vector
+/// registers, where the whole `MR×NR` tile would spill, and the
+/// fixed-size inner loop vectorizes. `MR` is even, so the second row
+/// always exists in the packed panel; pad rows and columns are zeros
+/// and are never copied back.
+fn micro_unfused<T: Element>(
+    kc: usize,
+    ap: &[T],
+    bp: &[T],
+    c: &mut [T],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    const { assert!(T::MR % 2 == 0 && T::NR <= 16) };
+    for r0 in (0..mr).step_by(2) {
+        let rows = (mr - r0).min(2);
+        let mut acc = [[T::ZERO; 16]; 2];
+        for r in 0..rows {
+            acc[r][..nr].copy_from_slice(&c[(r0 + r) * ldc..][..nr]);
+        }
+        for k in 0..kc {
+            let (a0, a1) = (ap[k * T::MR + r0], ap[k * T::MR + r0 + 1]);
+            let b = &bp[k * T::NR..][..T::NR];
+            for j in 0..T::NR {
+                acc[0][j] = acc[0][j] + a0 * b[j];
+                acc[1][j] = acc[1][j] + a1 * b[j];
+            }
+        }
+        for r in 0..rows {
+            c[(r0 + r) * ldc..][..nr].copy_from_slice(&acc[r][..nr]);
+        }
+    }
+}
+
+/// Fused scalar micro-kernel over packed panels for register tiles a
+/// SIMD variant's `micro_full` declines: updates the `mr×nr` corner of
+/// the tile at `c` (row stride `ldc`), one fused `mul_add` per `k` step,
+/// ascending `k` — bit-identical to the vector lanes.
 fn micro_edge_packed<T: Element>(
     kc: usize,
     ap: &[T],
@@ -131,21 +177,13 @@ mod tests {
                 for k in 0..kb {
                     block_fma_with(v, c_block.block_mut(0, 0), a.block(0, k), b.block(k, 0), q);
                 }
-                // Scalar variant never drives the packed path in the
-                // executor; its packed fallback is fused while its block
-                // kernel is unfused, so compare with a tolerance there
-                // and exactly for the SIMD variants.
-                if v.is_simd() {
-                    assert_eq!(c_packed, c_block, "{v} q={q}");
-                } else {
-                    assert!(c_packed.max_abs_diff(&c_block) < 1e-10, "{v} q={q}");
-                }
+                assert_eq!(c_packed, c_block, "{v} q={q}");
             }
         }
     }
 
-    /// Same bit-identity for f32: the packed vector kernels and the fused
-    /// whole-block fallback share one rounding contract.
+    /// Same bit-identity for f32: packed and unpacked kernels share one
+    /// rounding contract per variant.
     #[test]
     fn packed_f32_update_is_bit_identical_to_blockwise_kernel() {
         for v in variants_available() {
@@ -165,11 +203,7 @@ mod tests {
                 for k in 0..kb {
                     block_fma_with(v, c_block.block_mut(0, 0), a.block(0, k), b.block(k, 0), q);
                 }
-                if v.is_simd() {
-                    assert_eq!(c_packed, c_block, "{v} q={q}");
-                } else {
-                    assert!(c_packed.max_abs_diff(&c_block) < 1e-4, "{v} q={q}");
-                }
+                assert_eq!(c_packed, c_block, "{v} q={q}");
             }
         }
     }

@@ -6,9 +6,10 @@
 //! micro-kernel subsystem with runtime CPU dispatch and panel packing
 //! ([`kernel`]), analytic 5-loop blocking derived from the paper's cache
 //! model ([`blocking`]), an exact schedule replayer ([`ExecSink`] /
-//! [`run_schedule`]) and rayon-parallel tiled executors
-//! ([`gemm_parallel`]) whose tilings come straight from the paper's
-//! parameters (`λ`, `√p·µ`, `(α, β)`).
+//! [`run_schedule`]) and one rayon-parallel tiled GEMM entry point
+//! ([`gemm_into`], with [`gemm_parallel`] as its fresh-product form)
+//! whose tilings come straight from the paper's parameters (`λ`,
+//! `√p·µ`, `(α, β)`).
 //!
 //! Every path accumulates contributions in ascending `k` order with the
 //! same dispatched kernel, so all executors produce bit-identical
@@ -46,8 +47,6 @@ pub use kernel::KernelVariant;
 pub use matrix::{BlockMatrix, BlockMatrixOf};
 pub use naive::gemm_naive;
 pub use runner::{
-    gemm_accumulate, gemm_accumulate_cancellable, gemm_blocked, gemm_blocked_traced, gemm_parallel,
-    gemm_parallel_cancellable, gemm_parallel_traced, gemm_parallel_with_kernel,
-    gemm_parallel_with_plan, run_schedule, task_spans_to_chrome, ExecSink, TaskSpan, Tiling,
+    gemm_into, gemm_parallel, gemm_parallel_with_plan, run_schedule, ExecSink, GemmOpts, Tiling,
 };
-pub use tracing::{exec_drift, run_traced, spans_to_chrome, task_spans, ExecModel, TracedRun};
+pub use tracing::{exec_drift, run_traced, spans_to_chrome, ExecModel, TracedRun};

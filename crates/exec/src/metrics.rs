@@ -5,7 +5,7 @@
 //! golden reconciliation tests key on them):
 //!
 //! * `exec.flops.<variant>` — useful FLOPs retired through the tiled
-//!   executors (`gemm_parallel*`, `gemm_accumulate`), counted as
+//!   executor ([`crate::gemm_into`] and its wrappers), counted as
 //!   `2·q³` per block FMA and bumped **once per tile** so the hot loop
 //!   pays one relaxed atomic add per task, not per block.
 //! * `exec.flops.schedule` — FLOPs retired by the exact schedule

@@ -6,14 +6,15 @@
 //!   every `fma` event performs the `q×q` kernel — proving the schedules
 //!   compute the right product (the simulator only proved they touch the
 //!   right blocks);
-//! * [`gemm_parallel`] runs the tilings the algorithms prescribe with a
+//! * [`gemm_into`] runs the tilings the algorithms prescribe with a
 //!   rayon thread pool, every core taking row chunks of each `C` tile,
 //!   which is how the schedules map onto a real shared-memory machine
 //!   (the paper's "future work: implement all algorithms on
-//!   state-of-the-art multicore machines").
+//!   state-of-the-art multicore machines"). [`gemm_parallel`] and
+//!   [`gemm_parallel_with_plan`] are its fresh-product forms.
 //!
-//! Inside each work unit, SIMD variants run a BLIS-style 5-loop
-//! macro-kernel:
+//! Inside each work unit, every kernel variant runs one BLIS-style
+//! 5-loop macro-kernel:
 //!
 //! ```text
 //! jc over NC columns of the tile          (B panel chosen)
@@ -43,10 +44,8 @@ use crate::matrix::{BlockMatrix, BlockMatrixOf};
 use mmc_core::algorithms::{AlgoError, Algorithm};
 use mmc_core::{params, ProblemSpec};
 use mmc_obs::span::{self, SpanKind};
-use mmc_sim::{Block, ChromeTraceBuilder, MachineConfig, MatrixId, SimError, SimSink};
+use mmc_sim::{Block, MachineConfig, MatrixId, SimError, SimSink};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// A [`SimSink`] that *performs* the block arithmetic of a schedule.
 ///
@@ -137,9 +136,9 @@ pub struct Tiling {
     pub tile_m: u32,
     /// `C` tile columns.
     pub tile_n: u32,
-    /// `k`-panel depth processed per tile pass (the blockwise scalar
-    /// path's panel depth; the packed path's `KC` comes from the
-    /// [`BlockingPlan`] instead).
+    /// The paper's `k`-panel depth for this tiling (`β` for Tradeoff).
+    /// The executor's own `k` panels come from the [`BlockingPlan`]'s
+    /// `KC`; cost models that price a tiling read this depth.
     pub tile_k: u32,
 }
 
@@ -170,6 +169,29 @@ impl Tiling {
     }
 }
 
+/// How [`gemm_into`] runs: which micro-kernel, under which blocking
+/// plan, and whether a job may cancel it.
+#[derive(Clone, Copy, Debug)]
+pub struct GemmOpts<'a> {
+    /// Micro-kernel variant. A variant the CPU cannot run degrades to
+    /// the scalar kernel, as [`kernel::block_fma_with`] does.
+    pub variant: KernelVariant,
+    /// `MC`/`KC`/`NC` of the 5-loop macro-kernel. Results are
+    /// bit-identical across plans for a given variant.
+    pub plan: BlockingPlan,
+    /// Cooperative cancellation: every worker polls the token at its
+    /// `jc` macro-loop boundaries and bails within one macro-panel.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl GemmOpts<'_> {
+    /// The dispatched kernel variant under the active blocking plan for
+    /// `T`, with no cancel token.
+    pub fn dispatched<T: Element>() -> GemmOpts<'static> {
+        GemmOpts { variant: kernel::variant(), plan: blocking::active_plan::<T>(), cancel: None }
+    }
+}
+
 /// Raw pointer wrapper so disjoint `C` tiles can be filled from rayon
 /// tasks. Soundness argument at the single unsafe use site below.
 struct SendPtr<T>(*mut T);
@@ -182,7 +204,7 @@ impl<T> Clone for SendPtr<T> {
 impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: the pointer is only dereferenced for block indices owned by the
-// current task; tasks own disjoint index sets (see `gemm_parallel`).
+// current task; tasks own disjoint index sets (see `gemm_into`).
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Sync> Sync for SendPtr<T> {}
 
@@ -196,54 +218,70 @@ impl<T> SendPtr<T> {
     }
 }
 
-fn check_gemm_shapes<T: Element>(a: &BlockMatrixOf<T>, b: &BlockMatrixOf<T>, tiling: Tiling) {
+/// `C += A × B` with rayon tasks over the work units of `tiling`-sized
+/// `C` tiles — the one GEMM entry point every caller goes through.
+///
+/// Each task computes one work unit completely (all `k` panels in
+/// ascending order): a `C` tile, or a row chunk of one when there are
+/// too few tiles to keep every thread busy (see `work_units`). This
+/// mirrors how the paper's algorithms hand each shared-cache tile to all
+/// cores, each owning its sub-blocks, so that each output block is
+/// written by exactly one core. Within a task the 5-loop macro-kernel
+/// runs under `opts.plan`.
+///
+/// Per `C` element the kernel sequence is one multiply-accumulate per
+/// ascending `k` step, starting from the element's value in `c`. So a
+/// fresh product is [`BlockMatrixOf::zeros`] followed by one call, and
+/// accumulating a product `k` panel by `k` panel (the out-of-core
+/// driver's streaming loop) is bit-identical to computing it in one
+/// call — tests pin both down with `==`.
+///
+/// Returns `false` when `opts.cancel` fired: `c` then holds an
+/// unspecified partial accumulation and must be discarded. The rayon
+/// pool is reusable immediately either way.
+///
+/// # Panics
+/// Panics if the shapes or block sides are incompatible (`c` must be
+/// `a.rows × b.cols`) or the tiling has a zero dimension.
+pub fn gemm_into<T: Element>(
+    c: &mut BlockMatrixOf<T>,
+    a: &BlockMatrixOf<T>,
+    b: &BlockMatrixOf<T>,
+    tiling: Tiling,
+    opts: &GemmOpts<'_>,
+) -> bool {
     assert_eq!(a.cols(), b.rows(), "inner block dimensions must agree");
     assert_eq!(a.q(), b.q(), "block sides must agree");
+    assert_eq!((c.rows(), c.cols(), c.q()), (a.rows(), b.cols(), a.q()), "C must be A.rows×B.cols");
     assert!(
         tiling.tile_m > 0 && tiling.tile_n > 0 && tiling.tile_k > 0,
         "tiling must be positive, got {tiling:?}"
     );
+    let units = work_units(a.rows(), b.cols(), tiling, rayon::current_num_threads());
+    let cptr = SendPtr(c.data_mut().as_mut_ptr());
+    // The caller's trace context, carried into the pool closures (worker
+    // threads cannot see the caller's thread-local job).
+    let job = span::current_job();
+    units.par_iter().for_each(|&unit| run_tile(a, b, cptr, opts, unit, job));
+    !opts.cancel.is_some_and(CancelToken::is_cancelled)
 }
 
-/// `C = A × B` with rayon tasks over `tiling`-sized `C` tiles.
-///
-/// Each task computes one work unit completely (all `k` panels in
-/// ascending order): a `C` tile, or a row chunk of one when there are too
-/// few tiles to keep every thread busy (see `work_units`). This mirrors
-/// how the paper's algorithms hand each shared-cache tile to all cores,
-/// each owning its sub-blocks, so that each output block is written by
-/// exactly one core. Within a task, SIMD variants run the 5-loop
-/// macro-kernel under [`blocking::active_plan`].
+/// `C = A × B` through the dispatched kernel and the active plan.
 ///
 /// # Panics
-/// Panics if the shapes or block sides are incompatible or the tiling has
-/// a zero dimension.
+/// As [`gemm_into`].
 pub fn gemm_parallel<T: Element>(
     a: &BlockMatrixOf<T>,
     b: &BlockMatrixOf<T>,
     tiling: Tiling,
 ) -> BlockMatrixOf<T> {
-    gemm_parallel_with_kernel(a, b, tiling, kernel::variant())
+    gemm_parallel_with_plan(a, b, tiling, kernel::variant(), blocking::active_plan::<T>())
 }
 
-/// [`gemm_parallel`] through an explicitly chosen kernel variant (for
-/// benches and A/B perf records; normal callers use the dispatched
-/// variant). SIMD variants drive the packed 5-loop path; the scalar
-/// fallback streams unpacked blocks exactly like the original executor.
-pub fn gemm_parallel_with_kernel<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-    variant: KernelVariant,
-) -> BlockMatrixOf<T> {
-    gemm_parallel_with_plan(a, b, tiling, variant, blocking::active_plan::<T>())
-}
-
-/// [`gemm_parallel_with_kernel`] under an explicit [`BlockingPlan`] —
-/// the full-control entry point. Results are bit-identical across plans
-/// for a given variant (the plan moves panel boundaries, never the
-/// per-element accumulation order), which the plan-invariance tests pin
-/// down with `==`.
+/// `C = A × B` through an explicit kernel variant and blocking plan.
+///
+/// # Panics
+/// As [`gemm_into`].
 pub fn gemm_parallel_with_plan<T: Element>(
     a: &BlockMatrixOf<T>,
     b: &BlockMatrixOf<T>,
@@ -251,175 +289,9 @@ pub fn gemm_parallel_with_plan<T: Element>(
     variant: KernelVariant,
     plan: BlockingPlan,
 ) -> BlockMatrixOf<T> {
-    gemm_parallel_inner(a, b, tiling, variant, plan, None)
-        .expect("uncancellable run cannot be cancelled")
-}
-
-/// [`gemm_parallel_with_plan`] as a cancellable job unit: every worker
-/// polls `cancel` at its macro-loop boundaries (the `jc` loop of the
-/// packed path, the `k0` panel loop of the blockwise path) and bails
-/// within one macro-panel of work. Returns `None` when the run was
-/// cancelled — the partial product is discarded, never observed — and
-/// leaves the rayon pool immediately reusable.
-pub fn gemm_parallel_cancellable<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-    variant: KernelVariant,
-    plan: BlockingPlan,
-    cancel: &CancelToken,
-) -> Option<BlockMatrixOf<T>> {
-    gemm_parallel_inner(a, b, tiling, variant, plan, Some(cancel))
-}
-
-fn gemm_parallel_inner<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-    variant: KernelVariant,
-    plan: BlockingPlan,
-    cancel: Option<&CancelToken>,
-) -> Option<BlockMatrixOf<T>> {
-    check_gemm_shapes(a, b, tiling);
-    let (m, n, z) = (a.rows(), b.cols(), a.cols());
-    let q = a.q();
-    let mut c = BlockMatrixOf::<T>::zeros(m, n, q);
-
-    let units = work_units(m, n, tiling, rayon::current_num_threads());
-    let cptr = SendPtr(c.data_mut().as_mut_ptr());
-    // The caller's trace context, carried into the pool closures (worker
-    // threads cannot see the caller's thread-local job).
-    let job = span::current_job();
-    units.par_iter().for_each(|&unit| {
-        run_tile(variant, a, b, cptr, z, tiling, plan, unit, job, cancel);
-    });
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return None;
-    }
-    Some(c)
-}
-
-/// `C += A × B` with rayon tasks over the work units of `tiling`-sized
-/// `C` tiles, accumulating into the caller's `c` instead of zeroing it.
-///
-/// This is the panel-grained entry point the out-of-core executor
-/// streams through: each prefetched `(A panel, B panel)` pair is one
-/// call, with `c` the resident tile being built up across `k` panels.
-/// Per `C` element the kernel sequence is identical to
-/// [`gemm_parallel_with_kernel`]'s (ascending `k`, one multiply-accumulate
-/// per step through the same packed or blockwise path), so accumulating a
-/// product panel-by-panel is bit-identical to computing it in one call —
-/// which the out-of-core tests pin down with `==`.
-///
-/// # Panics
-/// Panics if shapes or block sides are incompatible (`c` must be
-/// `a.rows × b.cols`) or the tiling has a zero dimension.
-pub fn gemm_accumulate<T: Element>(
-    c: &mut BlockMatrixOf<T>,
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-    variant: KernelVariant,
-) {
-    gemm_accumulate_cancellable(c, a, b, tiling, variant, None);
-}
-
-/// [`gemm_accumulate`] with an optional cancellation token (the
-/// out-of-core job path). Returns `false` when the pass was cancelled —
-/// `c` then holds an unspecified partial accumulation and must be
-/// discarded by the caller.
-pub fn gemm_accumulate_cancellable<T: Element>(
-    c: &mut BlockMatrixOf<T>,
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-    variant: KernelVariant,
-    cancel: Option<&CancelToken>,
-) -> bool {
-    check_gemm_shapes(a, b, tiling);
-    assert_eq!((c.rows(), c.cols(), c.q()), (a.rows(), b.cols(), a.q()));
-    let (m, n, z) = (a.rows(), b.cols(), a.cols());
-    let plan = blocking::active_plan::<T>();
-    let units = work_units(m, n, tiling, rayon::current_num_threads());
-    let cptr = SendPtr(c.data_mut().as_mut_ptr());
-    let job = span::current_job();
-    units.par_iter().for_each(|&unit| {
-        run_tile(variant, a, b, cptr, z, tiling, plan, unit, job, cancel);
-    });
-    !cancel.is_some_and(CancelToken::is_cancelled)
-}
-
-/// One wall-clock task record from [`gemm_parallel_traced`]: which worker
-/// thread computed which `C` tile (or row chunk of one), and when.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TaskSpan {
-    /// Rayon worker-thread index that ran the task, or `None` when the
-    /// task ran off a pool worker (on the calling thread). `None` spans
-    /// get their own "caller" track in [`task_spans_to_chrome`] instead
-    /// of being folded into worker 0's lane.
-    pub thread: Option<usize>,
-    /// First block row of the `C` tile.
-    pub row0: u32,
-    /// Block rows in the tile.
-    pub rows: u32,
-    /// First block column of the `C` tile.
-    pub col0: u32,
-    /// Block columns in the tile.
-    pub cols: u32,
-    /// Start, in microseconds since the call began.
-    pub start_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-}
-
-/// [`gemm_parallel`] plus a wall-clock flight record: returns the product
-/// and one [`TaskSpan`] per work unit (thread id, unit coordinates,
-/// start/duration). Spans are sorted by start time.
-///
-/// Built on the unified span recorder ([`mmc_obs::span`]): the run gets
-/// a fresh trace job, every tile emits into its thread's lock-free ring,
-/// and the tile-level spans are collected back out by job id — so
-/// tracing adds no shared lock to the timed region and the same run also
-/// leaves `jc`/`pc`/`ic`/pack spans behind for [`crate::tracing`]'s
-/// merged export and drift reports. With `MMC_SPANS=off` the record
-/// comes back empty.
-pub fn gemm_parallel_traced<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-) -> (BlockMatrixOf<T>, Vec<TaskSpan>) {
-    let variant = kernel::variant();
-    let plan = blocking::active_plan::<T>();
-    let (c, run) = crate::tracing::run_traced(a, b, tiling, variant, plan);
-    let spans = crate::tracing::task_spans(&run);
-    (c, spans)
-}
-
-/// Render executor [`TaskSpan`]s as Chrome trace-event JSON (one track
-/// per worker thread), loadable in Perfetto alongside simulated traces.
-/// Spans recorded off a pool worker (`thread: None`) land on a dedicated
-/// "caller" track after the worker lanes, so they never overlap worker
-/// 0's spans.
-pub fn task_spans_to_chrome(spans: &[TaskSpan]) -> String {
-    let mut b = ChromeTraceBuilder::new("mmc-exec gemm_parallel");
-    let workers = spans.iter().filter_map(|s| s.thread).max().map_or(0, |t| t + 1);
-    for t in 0..workers {
-        b.thread(t as u64, &format!("worker {t}"));
-    }
-    let caller_tid = workers as u64;
-    if spans.iter().any(|s| s.thread.is_none()) {
-        b.thread(caller_tid, "caller");
-    }
-    for s in spans {
-        b.span(
-            s.thread.map_or(caller_tid, |t| t as u64),
-            &format!("tile C[{}..{}, {}..{}]", s.row0, s.row0 + s.rows, s.col0, s.col0 + s.cols),
-            s.start_us,
-            s.dur_us,
-            &[("blocks", (s.rows as f64) * (s.cols as f64))],
-        );
-    }
-    b.finish()
+    let mut c = BlockMatrixOf::zeros(a.rows(), b.cols(), a.q());
+    gemm_into(&mut c, a, b, tiling, &GemmOpts { variant, plan, cancel: None });
+    c
 }
 
 /// The work units a `threads`-way parallel call runs: the `tiling`'s `C`
@@ -482,36 +354,22 @@ fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> 
 }
 
 /// Compute one work unit — a `C` tile or a row chunk of one — completely
-/// (all `k` panels in ascending order).
-///
-/// SIMD kernel variants take the packed 5-loop path under `plan`; the
-/// scalar fallback streams unpacked blocks through the original per-block
-/// kernel at `tiling.tile_k` depth. Both orders accumulate each `C`
-/// element ascending in `k`, so results are bit-identical between the two
-/// paths of a given variant's rounding mode.
-#[allow(clippy::too_many_arguments)]
+/// (all `k` panels in ascending order) through the packed 5-loop path,
+/// then charge its FLOPs and emit its tile span.
 fn run_tile<T: Element>(
-    variant: KernelVariant,
     a: &BlockMatrixOf<T>,
     b: &BlockMatrixOf<T>,
     cptr: SendPtr<T>,
-    z: u32,
-    tiling: Tiling,
-    plan: BlockingPlan,
+    opts: &GemmOpts<'_>,
     tile: (u32, u32, u32, u32),
     job: u64,
-    cancel: Option<&CancelToken>,
 ) {
-    if cancel.is_some_and(CancelToken::is_cancelled) {
+    if opts.cancel.is_some_and(CancelToken::is_cancelled) {
         return;
     }
     let start = if span::enabled() { span::now_ns() } else { 0 };
-    if variant.is_simd() && variant.is_available() {
-        run_tile_packed(variant, a, b, cptr, z, plan, tile, job, cancel);
-    } else {
-        run_tile_blockwise(variant, a, b, cptr, z, tiling, tile, job, cancel);
-    }
-    if cancel.is_some_and(CancelToken::is_cancelled) {
+    run_tile_packed(a, b, cptr, opts, tile, job);
+    if opts.cancel.is_some_and(CancelToken::is_cancelled) {
         // A cancelled tile did partial (discarded) work — keep the FLOP
         // counters honest by not charging the full tile.
         return;
@@ -520,9 +378,9 @@ fn run_tile<T: Element>(
     // accumulate z block FMAs of 2q³ FLOPs.
     let (i0, th, j0, tw) = tile;
     let q = a.q() as u64;
-    let flops = 2 * q * q * q * th as u64 * tw as u64 * z as u64;
-    crate::metrics::flops(variant).add(flops);
-    crate::metrics::tiles(variant).add(1);
+    let flops = 2 * q * q * q * th as u64 * tw as u64 * a.cols() as u64;
+    crate::metrics::flops(opts.variant).add(flops);
+    crate::metrics::tiles(opts.variant).add(1);
     if span::enabled() {
         span::emit(
             job,
@@ -561,60 +419,6 @@ unsafe fn c_block_mut<'c, T>(
     std::slice::from_raw_parts_mut(cptr.get().add((i as usize * ncols + j as usize) * q2), q2)
 }
 
-/// The original unpacked tile loop (scalar fallback path).
-///
-/// Emits one `pc` span per `k` panel — the scalar path has a single
-/// macro-loop level, so the drift report still sees every FLOP under a
-/// loop phase even without the packed nest.
-#[allow(clippy::too_many_arguments)]
-fn run_tile_blockwise<T: Element>(
-    variant: KernelVariant,
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    cptr: SendPtr<T>,
-    z: u32,
-    tiling: Tiling,
-    (i0, th, j0, tw): (u32, u32, u32, u32),
-    job: u64,
-    cancel: Option<&CancelToken>,
-) {
-    let q = a.q();
-    let q2 = q * q;
-    let ncols = b.cols() as usize;
-    let tracing = span::enabled();
-    let mut k0 = 0;
-    while k0 < z {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return;
-        }
-        let kb = tiling.tile_k.min(z - k0);
-        let pc_start = if tracing { span::now_ns() } else { 0 };
-        for i in i0..i0 + th {
-            for j in j0..j0 + tw {
-                // SAFETY: see `c_block_mut` — (i, j) is owned by this unit.
-                let cblk = unsafe { c_block_mut(cptr, ncols, q2, i, j) };
-                for k in k0..k0 + kb {
-                    kernel::block_fma_with(variant, cblk, a.block(i, k), b.block(k, j), q);
-                }
-            }
-        }
-        if tracing {
-            let flops = 2 * (q as u64).pow(3) * th as u64 * tw as u64 * kb as u64;
-            span::emit(
-                job,
-                SpanKind::LoopPc,
-                worker_thread(),
-                pc_start,
-                span::now_ns().saturating_sub(pc_start),
-                flops,
-                flops,
-                [i0, j0, k0, kb],
-            );
-        }
-        k0 += kb;
-    }
-}
-
 /// The 5-loop macro-kernel over one `C` tile.
 ///
 /// Loop order is `jc` (NC) → `pc` (KC) → `ic` (MC) → register tiles:
@@ -627,19 +431,16 @@ fn run_tile_blockwise<T: Element>(
 /// For a fixed `C` block the `pc` loop is the only loop that revisits it,
 /// in ascending `k` — panel boundaries never reorder or re-associate the
 /// per-element accumulation, which keeps results bit-identical across
-/// plans and to the blockwise path of the same variant.
-#[allow(clippy::too_many_arguments)]
+/// plans and to the unpacked block kernel of the same variant.
 fn run_tile_packed<T: Element>(
-    variant: KernelVariant,
     a: &BlockMatrixOf<T>,
     b: &BlockMatrixOf<T>,
     cptr: SendPtr<T>,
-    z: u32,
-    plan: BlockingPlan,
+    opts: &GemmOpts<'_>,
     (i0, th, j0, tw): (u32, u32, u32, u32),
     job: u64,
-    cancel: Option<&CancelToken>,
 ) {
+    let (plan, z) = (opts.plan, a.cols());
     let q = a.q();
     let q2 = q * q;
     let ncols = b.cols() as usize;
@@ -652,7 +453,7 @@ fn run_tile_packed<T: Element>(
     kernel::pack::with_arena::<T, _>(|arena| {
         let mut jc = 0;
         while jc < tw {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
+            if opts.cancel.is_some_and(CancelToken::is_cancelled) {
                 return;
             }
             let jw = nc_b.min(tw - jc);
@@ -706,7 +507,14 @@ fn run_tile_packed<T: Element>(
                             // j0+jc+bj) is owned by this unit.
                             let cblk =
                                 unsafe { c_block_mut(cptr, ncols, q2, i0 + ic + bi, j0 + jc + bj) };
-                            kernel::packed::block_mul_packed(variant, cblk, q, kc, apack, bpack);
+                            kernel::packed::block_mul_packed(
+                                opts.variant,
+                                cblk,
+                                q,
+                                kc,
+                                apack,
+                                bpack,
+                            );
                         }
                     }
                     if tracing {
@@ -757,38 +565,6 @@ fn run_tile_packed<T: Element>(
     });
 }
 
-/// The cached single-thread pool shared by the `gemm_blocked*` baselines —
-/// building a fresh pool per call costs more than a small product itself
-/// and skews baseline timings.
-fn single_thread_pool() -> &'static rayon::ThreadPool {
-    static SINGLE_THREAD_POOL: OnceLock<rayon::ThreadPool> = OnceLock::new();
-    SINGLE_THREAD_POOL.get_or_init(|| {
-        rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("single-thread pool")
-    })
-}
-
-/// Sequential blocked product with the same traversal as
-/// [`gemm_parallel`] (for single-thread baselines in benches).
-pub fn gemm_blocked<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-) -> BlockMatrixOf<T> {
-    single_thread_pool().install(|| gemm_parallel(a, b, tiling))
-}
-
-/// [`gemm_blocked`] with the flight record of [`gemm_parallel_traced`]:
-/// the single-thread baseline, with every task span attributed to the
-/// pool's one worker (or the caller lane if a span is ever recorded off
-/// the pool).
-pub fn gemm_blocked_traced<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    tiling: Tiling,
-) -> (BlockMatrixOf<T>, Vec<TaskSpan>) {
-    single_thread_pool().install(|| gemm_parallel_traced(a, b, tiling))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,6 +573,37 @@ mod tests {
 
     fn operands(m: u32, n: u32, z: u32, q: usize) -> (BlockMatrix, BlockMatrix) {
         (BlockMatrix::pseudo_random(m, z, q, 11), BlockMatrix::pseudo_random(z, n, q, 22))
+    }
+
+    /// A fresh product through variant `v` under the active plan.
+    fn with_kernel<T: Element>(
+        a: &BlockMatrixOf<T>,
+        b: &BlockMatrixOf<T>,
+        tiling: Tiling,
+        v: KernelVariant,
+    ) -> BlockMatrixOf<T> {
+        gemm_parallel_with_plan(a, b, tiling, v, blocking::active_plan::<T>())
+    }
+
+    /// `c += a × b` through variant `v` under the active plan.
+    fn accumulate<T: Element>(
+        c: &mut BlockMatrixOf<T>,
+        a: &BlockMatrixOf<T>,
+        b: &BlockMatrixOf<T>,
+        tiling: Tiling,
+        v: KernelVariant,
+    ) {
+        assert!(gemm_into(
+            c,
+            a,
+            b,
+            tiling,
+            &GemmOpts { variant: v, ..GemmOpts::dispatched::<T>() }
+        ));
+    }
+
+    fn one_thread() -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap()
     }
 
     #[test]
@@ -827,6 +634,7 @@ mod tests {
         let machine = MachineConfig::quad_q32();
         let (a, b) = operands(13, 7, 9, 4);
         let oracle = gemm_naive(&a, &b);
+        let one = one_thread();
         for tiling in [
             Tiling::shared_opt(&machine).unwrap(),
             Tiling::distributed_opt(&machine).unwrap(),
@@ -837,7 +645,7 @@ mod tests {
         ] {
             let c = gemm_parallel(&a, &b, tiling);
             assert_eq!(c, oracle, "tiling {tiling:?}");
-            let c = gemm_blocked(&a, &b, tiling);
+            let c = one.install(|| gemm_parallel(&a, &b, tiling));
             assert_eq!(c, oracle, "blocked tiling {tiling:?}");
         }
     }
@@ -856,7 +664,7 @@ mod tests {
                 Tiling { tile_m: 3, tile_n: 2, tile_k: 2 },
                 Tiling { tile_m: 8, tile_n: 8, tile_k: 1 },
             ] {
-                let c = gemm_parallel_with_kernel(&a, &b, tiling, v);
+                let c = with_kernel(&a, &b, tiling, v);
                 assert!(
                     c.max_abs_diff(&oracle) < 1e-10,
                     "variant {v} tiling {tiling:?} diverges: {}",
@@ -880,7 +688,7 @@ mod tests {
             let oracle = gemm_naive(&a, &b);
             for v in kernel::variants_available() {
                 let tiling = Tiling { tile_m: 4, tile_n: 5, tile_k: 4 };
-                let c = gemm_parallel_with_kernel(&a, &b, tiling, v);
+                let c = with_kernel(&a, &b, tiling, v);
                 if v.is_simd() {
                     assert_eq!(c, oracle, "variant {v} q={q}");
                 } else {
@@ -938,7 +746,7 @@ mod tests {
                 let (a, b) = operands(5, 4, 7, q);
                 let oracle = gemm_naive(&a, &b);
                 let tiling = Tiling { tile_m: 3, tile_n: 2, tile_k: 3 };
-                let c = gemm_parallel_with_kernel(&a, &b, tiling, v);
+                let c = with_kernel(&a, &b, tiling, v);
                 if v.is_simd() {
                     assert_eq!(c, oracle, "variant {v} q={q}");
                 } else {
@@ -946,7 +754,7 @@ mod tests {
                 }
             };
             // One worker thread → one arena reused by every product.
-            single_thread_pool().install(|| {
+            one_thread().install(|| {
                 check(13); // large, ragged q seeds the arena
                 check(5); // shrink: stale tail beyond the new panels
                 check(16); // grow back past the original length
@@ -963,7 +771,7 @@ mod tests {
             let (a, b) = operands(6, 5, 9, q);
             for v in kernel::variants_available() {
                 let tiling = Tiling { tile_m: 3, tile_n: 4, tile_k: 2 };
-                let oracle = gemm_parallel_with_kernel(&a, &b, tiling, v);
+                let oracle = with_kernel(&a, &b, tiling, v);
                 let mut c = BlockMatrix::zeros(6, 5, q);
                 let mut k0 = 0;
                 while k0 < 9 {
@@ -971,13 +779,7 @@ mod tests {
                     // Copy the k panel out, as the streaming path does.
                     let ap = BlockMatrix::from_fn(6, kb, q, |i, j| a.get(i, k0 as usize * q + j));
                     let bp = BlockMatrix::from_fn(kb, 5, q, |i, j| b.get(k0 as usize * q + i, j));
-                    gemm_accumulate(
-                        &mut c,
-                        &ap,
-                        &bp,
-                        Tiling { tile_m: 3, tile_n: 4, tile_k: kb },
-                        v,
-                    );
+                    accumulate(&mut c, &ap, &bp, Tiling { tile_m: 3, tile_n: 4, tile_k: kb }, v);
                     k0 += kb;
                 }
                 assert_eq!(c, oracle, "variant {v} q={q}");
@@ -994,12 +796,7 @@ mod tests {
         let a32 = BlockMatrixOf::<f32>::pseudo_random(6, 7, 9, 11);
         let b32 = BlockMatrixOf::<f32>::pseudo_random(7, 5, 9, 22);
         for v in kernel::variants_available() {
-            let c = gemm_parallel_with_kernel(
-                &a32,
-                &b32,
-                Tiling { tile_m: 3, tile_n: 2, tile_k: 2 },
-                v,
-            );
+            let c = with_kernel(&a32, &b32, Tiling { tile_m: 3, tile_n: 2, tile_k: 2 }, v);
             // pseudo_random narrows the same f64 stream, so the f32
             // product approximates the f64 oracle to f32 accuracy. The
             // stream is in [0,1): accumulated dot products of length 63
@@ -1032,80 +829,32 @@ mod tests {
 
     #[test]
     fn traced_gemm_matches_and_covers_every_tile() {
-        let machine = MachineConfig::quad_q32();
         let (a, b) = operands(9, 7, 5, 4);
         let oracle = gemm_naive(&a, &b);
         let tiling = Tiling { tile_m: 4, tile_n: 3, tile_k: 2 };
-        let (c, spans) = gemm_parallel_traced(&a, &b, tiling);
+        let (c, run) = crate::tracing::run_traced(
+            &a,
+            &b,
+            tiling,
+            kernel::variant(),
+            blocking::active_plan::<f64>(),
+        );
         assert_eq!(c, oracle);
-        // One span per work unit: the 3×3 tiles, split into row chunks
-        // when the host has many threads; units partition the 9×7 grid.
+        if !span::enabled() {
+            return;
+        }
+        // One tile span per work unit: the 3×3 tiles, split into row
+        // chunks when the host has many threads; units partition the 9×7
+        // grid.
+        let tiles: Vec<_> = run.spans.iter().filter(|s| s.kind == SpanKind::Tile).collect();
         let units = work_units(9, 7, tiling, rayon::current_num_threads()).len();
         assert!(units >= 3 * 3);
-        assert_eq!(spans.len(), units);
-        let covered: u64 = spans.iter().map(|s| s.rows as u64 * s.cols as u64).sum();
+        assert_eq!(tiles.len(), units);
+        let covered: u64 = tiles.iter().map(|s| s.args[1] as u64 * s.args[3] as u64).sum();
         assert_eq!(covered, 9 * 7);
-        assert!(spans.iter().all(|s| s.dur_us >= 0.0 && s.start_us >= 0.0));
+        assert!(tiles.iter().all(|s| s.start_ns >= run.epoch_ns));
         // Sorted by start time.
-        assert!(spans.windows(2).all(|w| w[0].start_us <= w[1].start_us));
-        let _ = machine;
-    }
-
-    #[test]
-    fn task_spans_export_to_chrome_json() {
-        let (a, b) = operands(4, 4, 4, 2);
-        let (_, spans) = gemm_parallel_traced(&a, &b, Tiling { tile_m: 2, tile_n: 2, tile_k: 4 });
-        let text = task_spans_to_chrome(&spans);
-        assert!(text.starts_with('{') && text.ends_with('}'));
-        assert!(text.contains("\"traceEvents\""));
-        assert!(text.contains("tile C[0..2, 0..2]"));
-    }
-
-    #[test]
-    fn blocked_traced_attributes_every_span_to_the_pool_worker() {
-        let (a, b) = operands(6, 6, 4, 3);
-        let oracle = gemm_naive(&a, &b);
-        let (c, spans) = gemm_blocked_traced(&a, &b, Tiling { tile_m: 2, tile_n: 3, tile_k: 2 });
-        assert_eq!(c, oracle);
-        assert_eq!(spans.len(), 3 * 2);
-        // The cached single-thread pool runs every task on worker 0 —
-        // spans keep the Some, they are not defaulted.
-        assert!(spans.iter().all(|s| s.thread == Some(0)), "spans: {spans:?}");
-        let text = task_spans_to_chrome(&spans);
-        assert!(text.contains("worker 0"));
-        assert!(!text.contains("\"caller\""));
-    }
-
-    #[test]
-    fn off_pool_spans_get_a_dedicated_caller_lane() {
-        // A span recorded off any pool thread must land on its own
-        // "caller" track after the worker lanes, never on worker 0's.
-        assert_eq!(rayon::current_thread_index(), None);
-        let worker = TaskSpan {
-            thread: Some(0),
-            row0: 0,
-            rows: 1,
-            col0: 0,
-            cols: 1,
-            start_us: 0.0,
-            dur_us: 1.0,
-        };
-        let caller = TaskSpan {
-            thread: rayon::current_thread_index(),
-            row0: 1,
-            rows: 1,
-            col0: 1,
-            cols: 1,
-            start_us: 0.5,
-            dur_us: 1.0,
-        };
-        assert_eq!(caller.thread, None);
-        let text = task_spans_to_chrome(&[worker, caller]);
-        // Track 0 is "worker 0"; the caller lane is the next tid (1).
-        assert!(text.contains("\"name\":\"worker 0\""));
-        assert!(text.contains("\"name\":\"caller\""));
-        assert!(text.contains("\"tid\":1,\"args\":{\"name\":\"caller\"}"));
-        assert!(text.contains("\"name\":\"tile C[1..2, 1..2]\",\"ph\":\"X\",\"pid\":1,\"tid\":1"));
+        assert!(tiles.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
     }
 
     /// Every `(threads, shape, tiling)` the split tests sweep: one-tile
@@ -1184,14 +933,14 @@ mod tests {
     fn split_runs_are_bit_identical_to_a_single_thread_run() {
         fn check<T: Element>() {
             let four = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+            let single = one_thread();
             let tiling = Tiling { tile_m: 16, tile_n: 16, tile_k: 1 };
             for v in kernel::variants_available() {
                 // One 16×16-block tile: split into row chunks on 4 threads.
                 let a = BlockMatrixOf::<T>::pseudo_random(16, 16, 8, 41);
                 let b = BlockMatrixOf::<T>::pseudo_random(16, 16, 8, 42);
                 let plan = blocking::active_plan::<T>();
-                let one = single_thread_pool()
-                    .install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
+                let one = single.install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
                 let split = four.install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
                 assert!(split == one, "variant {v}: one-tile product");
 
@@ -1201,8 +950,8 @@ mod tests {
                 let b = BlockMatrixOf::<T>::pseudo_random(4, 20, 8, 44);
                 let c0 = BlockMatrixOf::<T>::pseudo_random(20, 20, 8, 45);
                 let (mut c1, mut c4) = (c0.clone(), c0);
-                single_thread_pool().install(|| gemm_accumulate(&mut c1, &a, &b, tiling, v));
-                four.install(|| gemm_accumulate(&mut c4, &a, &b, tiling, v));
+                single.install(|| accumulate(&mut c1, &a, &b, tiling, v));
+                four.install(|| accumulate(&mut c4, &a, &b, tiling, v));
                 assert!(c4 == c1, "variant {v}: ragged accumulate");
             }
         }
@@ -1221,18 +970,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_run_returns_none_and_pool_keeps_serving() {
+    fn pre_cancelled_run_returns_false_and_pool_keeps_serving() {
         let (a, b) = operands(6, 6, 5, 4);
         let tiling = Tiling { tile_m: 2, tile_n: 2, tile_k: 2 };
-        let plan = blocking::active_plan::<f64>();
-        let v = kernel::variant();
         let token = CancelToken::new();
         token.cancel();
-        assert!(gemm_parallel_cancellable(&a, &b, tiling, v, plan, &token).is_none());
+        let cancelled = GemmOpts { cancel: Some(&token), ..GemmOpts::dispatched::<f64>() };
+        let mut c = BlockMatrix::zeros(6, 6, 4);
+        assert!(!gemm_into(&mut c, &a, &b, tiling, &cancelled));
         // The same rayon pool immediately serves the next (live) job.
         let live = CancelToken::new();
-        let c = gemm_parallel_cancellable(&a, &b, tiling, v, plan, &live)
-            .expect("uncancelled job completes");
+        let opts = GemmOpts { cancel: Some(&live), ..GemmOpts::dispatched::<f64>() };
+        let mut c = BlockMatrix::zeros(6, 6, 4);
+        assert!(gemm_into(&mut c, &a, &b, tiling, &opts), "uncancelled job completes");
         assert_eq!(c, gemm_naive(&a, &b));
     }
 
@@ -1243,28 +993,15 @@ mod tests {
         let plan = blocking::active_plan::<f64>();
         for v in kernel::variants_available() {
             let token = CancelToken::new();
-            let c = gemm_parallel_cancellable(&a, &b, tiling, v, plan, &token).unwrap();
+            let mut c = BlockMatrix::zeros(7, 5, 4);
+            assert!(gemm_into(
+                &mut c,
+                &a,
+                &b,
+                tiling,
+                &GemmOpts { variant: v, plan, cancel: Some(&token) }
+            ));
             assert_eq!(c, gemm_parallel_with_plan(&a, &b, tiling, v, plan), "variant {v}");
         }
-    }
-
-    #[test]
-    fn cancelled_accumulate_reports_false() {
-        let (a, b) = operands(3, 3, 3, 4);
-        let mut c = BlockMatrix::zeros(3, 3, 4);
-        let tiling = Tiling { tile_m: 1, tile_n: 1, tile_k: 1 };
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(!gemm_accumulate_cancellable(
-            &mut c,
-            &a,
-            &b,
-            tiling,
-            kernel::variant(),
-            Some(&token)
-        ));
-        let mut c2 = BlockMatrix::zeros(3, 3, 4);
-        assert!(gemm_accumulate_cancellable(&mut c2, &a, &b, tiling, kernel::variant(), None));
-        assert_eq!(c2, gemm_naive(&a, &b));
     }
 }

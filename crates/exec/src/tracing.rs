@@ -5,10 +5,8 @@
 //! trace job in [`mmc_obs::span`], runs the product (every 5-loop
 //! macro-step and pack emits into its thread's lock-free ring), and
 //! collects the job's spans back out. The result is a [`TracedRun`] —
-//! the raw material for three consumers:
+//! the raw material for two consumers:
 //!
-//! * [`task_spans`] — the tile-level flight record (`TaskSpan`s), kept
-//!   API-compatible with the pre-recorder tracer;
 //! * [`spans_to_chrome`] — a Perfetto/Chrome trace with one lane per
 //!   `(loop level, thread)` pair, using the **process-wide** trace
 //!   epoch so exec and ooc traces merge coherently into one timeline;
@@ -22,7 +20,7 @@ use crate::blocking::BlockingPlan;
 use crate::kernel::elem::Element;
 use crate::kernel::KernelVariant;
 use crate::matrix::BlockMatrixOf;
-use crate::runner::{gemm_parallel_with_plan, work_units, TaskSpan, Tiling};
+use crate::runner::{gemm_parallel_with_plan, work_units, Tiling};
 use mmc_obs::span::{self, SpanKind, SpanRecord};
 use mmc_obs::{DriftReport, PhaseSample};
 use mmc_sim::ChromeTraceBuilder;
@@ -33,8 +31,8 @@ use mmc_sim::ChromeTraceBuilder;
 pub struct TracedRun {
     /// Trace job id (process-unique; see [`span::new_job`]).
     pub job: u64,
-    /// [`span::now_ns`] immediately before the run — `TaskSpan` start
-    /// times are relative to this.
+    /// [`span::now_ns`] immediately before the run: every span of the
+    /// run starts at or after it.
     pub epoch_ns: u64,
     /// Kernel variant the run dispatched to.
     pub variant: KernelVariant,
@@ -63,28 +61,6 @@ pub fn run_traced<T: Element>(
     let c = gemm_parallel_with_plan(a, b, tiling, variant, plan);
     let spans = span::collect_job(job);
     (c, TracedRun { job, epoch_ns, variant, plan, spans })
-}
-
-/// The tile-level flight record of a traced run: one [`TaskSpan`] per
-/// work unit (a `C` tile or a row chunk of one), start times relative to
-/// the run's epoch, sorted by start.
-pub fn task_spans(run: &TracedRun) -> Vec<TaskSpan> {
-    let mut out: Vec<TaskSpan> = run
-        .spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Tile)
-        .map(|s| TaskSpan {
-            thread: s.thread.map(|t| t as usize),
-            row0: s.args[0],
-            rows: s.args[1],
-            col0: s.args[2],
-            cols: s.args[3],
-            start_us: s.start_ns.saturating_sub(run.epoch_ns) as f64 / 1e3,
-            dur_us: s.dur_ns as f64 / 1e3,
-        })
-        .collect();
-    out.sort_by(|x, y| x.start_us.total_cmp(&y.start_us));
-    out
 }
 
 /// Lane label for a span: worker/io/caller prefix plus the loop level,
@@ -234,8 +210,8 @@ fn byte_us(bytes: u64, gbs: f64) -> f64 {
 
 /// Build the drift report for one traced run: every loop level and pack
 /// phase, measured (summed span time, CPU-µs) against predicted (closed
-/// forms priced at the model's roofs). Phases the run never entered
-/// (e.g. pack phases on the scalar path) are dropped, not flagged.
+/// forms priced at the model's roofs). Phases the run never entered are
+/// dropped, not flagged.
 pub fn exec_drift(run: &TracedRun, model: &ExecModel, band: f64) -> DriftReport {
     let sum = |kind: SpanKind| -> (u64, f64, u64) {
         run.spans.iter().filter(|s| s.kind == kind).fold((0u64, 0.0f64, 0u64), |acc, s| {
@@ -323,12 +299,10 @@ mod tests {
         assert!(units >= 4);
         let count = |k: SpanKind| run.spans.iter().filter(|s| s.kind == k).count();
         assert_eq!(count(SpanKind::Tile), units);
-        assert!(count(SpanKind::LoopPc) >= units, "pc spans on every path");
-        if kernel::variant().is_simd() {
-            assert!(count(SpanKind::LoopJc) >= units);
-            assert!(count(SpanKind::LoopIc) >= units);
-            assert!(count(SpanKind::PackA) >= units);
-            assert!(count(SpanKind::PackB) >= units);
+        for kind in
+            [SpanKind::LoopJc, SpanKind::LoopPc, SpanKind::LoopIc, SpanKind::PackA, SpanKind::PackB]
+        {
+            assert!(count(kind) >= units, "{} spans from every unit", kind.name());
         }
         // Every span belongs to this run's job.
         assert!(run.spans.iter().all(|s| s.job == run.job));
@@ -362,12 +336,8 @@ mod tests {
         let report = exec_drift(&run, &model, 1e9);
         assert!(report.all_finite());
         let names: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
-        assert!(names.contains(&"tile"));
-        assert!(names.contains(&"pc"));
-        if run.variant.is_simd() {
-            for n in ["jc", "ic", "pack_a", "pack_b"] {
-                assert!(names.contains(&n), "missing {n} in {names:?}");
-            }
+        for n in ["tile", "jc", "pc", "ic", "pack_a", "pack_b"] {
+            assert!(names.contains(&n), "missing {n} in {names:?}");
         }
         // Work accounting: every FLOP level measured exactly the model's
         // total, so units_ratio is 1 (instrumentation covers the nest).
@@ -391,9 +361,6 @@ mod tests {
         // packed path's measured `pred` bytes (logical panel bytes) must
         // agree with the model.
         let variant = kernel::variant();
-        if !variant.is_simd() {
-            return;
-        }
         let (m, n, z, q) = (6u32, 8u32, 5u32, 4usize);
         let tiling = Tiling { tile_m: m, tile_n: n, tile_k: 1 };
         for threads in [1, 4] {
@@ -424,10 +391,35 @@ mod tests {
     fn chrome_export_groups_lanes_by_loop_level() {
         let tiling = Tiling { tile_m: 2, tile_n: 2, tile_k: 1 };
         let (_, _, run) = traced(4, 4, 3, 3, tiling);
-        let text = spans_to_chrome("merged", &run.spans, &[("exec.flops".to_string(), 1234.0)]);
+        // A span recorded off any pool thread (here: by hand, on the
+        // test thread) must land on its own "caller" lane, never on a
+        // worker's (`w0 …`, `w1 …`, …).
+        let mut spans = run.spans.clone();
+        spans.push(SpanRecord {
+            job: run.job,
+            kind: SpanKind::Tile,
+            thread: None,
+            start_ns: run.epoch_ns,
+            dur_ns: 1_000,
+            pred: 0,
+            val: 0,
+            args: [1, 1, 1, 1],
+        });
+        let text = spans_to_chrome("merged", &spans, &[("exec.flops".to_string(), 1234.0)]);
         let parsed: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-        assert!(parsed.get("traceEvents").is_some());
+        let events = parsed.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents");
+        // (lane name, tid) of every track the export declared.
+        let lanes: Vec<(&str, u64)> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("thread_name"))
+            .filter_map(|e| Some((e.get("args")?.get("name")?.as_str()?, e.get("tid")?.as_u64()?)))
+            .collect();
+        let caller = lanes.iter().find(|(name, _)| *name == "caller tile").expect("caller lane").1;
+        let worker_tids: Vec<u64> =
+            lanes.iter().filter(|(name, _)| name.starts_with('w')).map(|l| l.1).collect();
+        assert!(!worker_tids.contains(&caller), "caller lane {caller} shared with {lanes:?}");
         if span::enabled() {
+            assert!(!worker_tids.is_empty(), "{text}");
             assert!(text.contains("\"tile\""), "{text}");
             assert!(text.contains(" pc\"") || text.contains(" tile\""), "lane names present");
             assert!(text.contains("\"pred\""));

@@ -8,8 +8,8 @@
 //! per ascending `k` step regardless of where the panels cut.
 
 use mmc_exec::{
-    gemm_naive, gemm_parallel_with_kernel, gemm_parallel_with_plan, kernel, BlockMatrix,
-    BlockMatrixOf, BlockingPlan, Tiling,
+    blocking, gemm_naive, gemm_parallel_with_plan, kernel, BlockMatrix, BlockMatrixOf,
+    BlockingPlan, Tiling,
 };
 use proptest::prelude::*;
 
@@ -84,7 +84,7 @@ proptest! {
         let oracle = gemm_naive(&a64, &b64);
         let tiling = Tiling { tile_m: 2, tile_n: 3, tile_k: 3 };
         for v in kernel::variants_available() {
-            let c = gemm_parallel_with_kernel(&a32, &b32, tiling, v);
+            let c = gemm_parallel_with_plan(&a32, &b32, tiling, v, blocking::active_plan::<f32>());
             let mut worst = 0.0f64;
             for i in 0..m as usize * q {
                 for j in 0..n as usize * q {

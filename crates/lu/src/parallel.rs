@@ -7,7 +7,7 @@
 //! rayon pool. Each parallel region writes disjoint blocks, and every
 //! block's updates apply in ascending `k` order. The Schur-complement
 //! trailing update runs through the packed 5-loop
-//! [`gemm_accumulate`] (with `L` negated during extraction, so the
+//! [`gemm_into`] (with `L` negated during extraction, so the
 //! kernel's `+=` applies the subtraction); the packed micro-kernel
 //! associates its FMAs differently from the blockwise stripes, so the
 //! parallel result agrees with the sequential factorization to rounding
@@ -15,7 +15,7 @@
 
 use crate::kernel::{block_fms, getrf_nopiv, trsm_left_lower_unit, trsm_right_upper};
 use crate::schedule::LuError;
-use mmc_exec::{gemm_accumulate, kernel, BlockMatrix, Tiling};
+use mmc_exec::{gemm_into, BlockMatrix, GemmOpts, Tiling};
 use rayon::prelude::*;
 
 /// Raw-pointer wrapper for disjoint-block writes from rayon tasks.
@@ -138,7 +138,7 @@ pub fn lu_factor_parallel(m: &mut BlockMatrix, w: u32) -> Result<(), LuError> {
             });
             // --- 3. Trailing update: packed Schur complement -------------
             // C[base.., base..] -= L[base.., kp..base] · U[kp..base, base..]
-            // through the packed 5-loop `gemm_accumulate`: `L` is negated
+            // through the packed 5-loop `gemm_into`: `L` is negated
             // during extraction so the kernel's `+=` applies the
             // subtraction, and the whole panel width goes in one call
             // (ascending `k` inside the packed panels, like the stripes
@@ -172,7 +172,7 @@ pub fn lu_factor_parallel(m: &mut BlockMatrix, w: u32) -> Result<(), LuError> {
             }
             // Row-stripe tiles keep the update's rayon granularity.
             let tiling = Tiling { tile_m: 1, tile_n: tn, tile_k: pw };
-            gemm_accumulate(&mut csub, &lneg, &upan, tiling, kernel::variant());
+            gemm_into(&mut csub, &lneg, &upan, tiling, &GemmOpts::dispatched::<f64>());
             for i in 0..tn {
                 for j in 0..tn {
                     // SAFETY: as above.

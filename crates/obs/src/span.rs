@@ -83,7 +83,7 @@ pub enum SpanKind {
     /// Time the ooc compute thread spent blocked waiting for a staged
     /// panel.
     Stall = 8,
-    /// One `gemm_accumulate` call over a staged panel pair.
+    /// One `gemm_into` call over a staged panel pair.
     Accumulate = 9,
 }
 

@@ -24,8 +24,10 @@ use serde::{Deserialize, Serialize};
 
 use mmc_core::params::ooc_staging;
 use mmc_core::{formulas, OocStaging, ProblemSpec};
-use mmc_exec::runner::gemm_accumulate_cancellable;
-use mmc_exec::{gemm_parallel_with_kernel, BlockMatrix, CancelToken, KernelVariant, Tiling};
+use mmc_exec::{
+    blocking, gemm_into, gemm_parallel_with_plan, BlockMatrix, CancelToken, GemmOpts,
+    KernelVariant, Tiling,
+};
 use mmc_obs::span::{self, SpanKind};
 use mmc_obs::{DriftReport, PhaseSample};
 use mmc_sim::{ChromeTraceBuilder, MachineConfig, TData3};
@@ -269,7 +271,9 @@ pub fn ooc_multiply(
     out_path: &Path,
     opts: &OocOpts,
 ) -> Result<OocReport, OocError> {
-    ooc_multiply_inner(a_path, b_path, out_path, opts, None)
+    let result = ooc_multiply_inner(a_path, b_path, out_path, opts, None);
+    release_free_heap();
+    result
 }
 
 /// [`ooc_multiply`] as a cancellable job unit: the driver polls `cancel`
@@ -286,8 +290,39 @@ pub fn ooc_multiply_cancellable(
     opts: &OocOpts,
     cancel: &CancelToken,
 ) -> Result<OocReport, OocError> {
-    ooc_multiply_inner(a_path, b_path, out_path, opts, Some(cancel))
+    let result = ooc_multiply_inner(a_path, b_path, out_path, opts, Some(cancel));
+    release_free_heap();
+    result
 }
+
+/// Return the heap's free pages to the OS once a multiply is over, on
+/// every path (success, error or cancellation).
+///
+/// The staging buffers are large. Freeing the `C` tile raises glibc's
+/// dynamic mmap threshold, so later panel buffers come from the heap,
+/// and small long-lived allocations made between multiplies then keep
+/// the freed space from shrinking back. Without the trim, resident
+/// memory after the same loop of multiplies depends on that allocation
+/// history; with it, the loop stays at the size its first multiply
+/// reached (EXPERIMENTS.md, "Allocator state and ooc RSS"). Pinning
+/// `M_MMAP_THRESHOLD` instead would turn every large allocation in the
+/// process into an mmap/munmap pair. glibc shrinks the top of the main
+/// thread's heap only; on other threads the trim releases free chunks
+/// but leaves their arena's top in place.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and only releases memory
+    // the allocator holds free; it is thread-safe in glibc.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() {}
 
 fn ooc_multiply_inner(
     a_path: &Path,
@@ -352,6 +387,8 @@ fn ooc_multiply_inner(
     let mut c_buf: Vec<f64> = Vec::new();
     let mut consumed = 0usize;
 
+    let gemm_opts =
+        GemmOpts { variant: opts.variant, plan: blocking::active_plan::<f64>(), cancel };
     let mut cancelled = false;
     'tiles: for i0 in (0..m).step_by(alpha as usize) {
         let th = alpha.min(m - i0);
@@ -383,14 +420,7 @@ fn ooc_multiply_inner(
                 // every path applies one multiply-accumulate per C
                 // element per ascending k step, and neither the panel
                 // split nor the blocking plan moves that order.
-                let finished = gemm_accumulate_cancellable(
-                    &mut c_tile,
-                    &a_panel,
-                    &b_panel,
-                    tiling,
-                    opts.variant,
-                    cancel,
-                );
+                let finished = gemm_into(&mut c_tile, &a_panel, &b_panel, tiling, &gemm_opts);
                 if !finished {
                     cancelled = true;
                     break 'tiles;
@@ -634,7 +664,7 @@ pub fn ooc_verify(
     let tiling = Tiling::tradeoff(machine)
         .or_else(|| Tiling::shared_opt(machine))
         .unwrap_or(Tiling { tile_m: 1, tile_n: 1, tile_k: 1 });
-    let want = gemm_parallel_with_kernel(&a, &b, tiling, variant);
+    let want = gemm_parallel_with_plan(&a, &b, tiling, variant, blocking::active_plan::<f64>());
     let mismatches =
         c.data().iter().zip(want.data()).filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64;
     Ok(mismatches)
@@ -722,7 +752,8 @@ mod tests {
             assert!(report.staging.alpha >= 1 && report.staging.beta >= 1);
             let got = TiledFile::open(&c_path).unwrap().read_matrix().unwrap();
             let tiling = Tiling { tile_m: 3, tile_n: 3, tile_k: 2 };
-            let want = gemm_parallel_with_kernel(&a, &b, tiling, variant);
+            let want =
+                gemm_parallel_with_plan(&a, &b, tiling, variant, blocking::active_plan::<f64>());
             assert_eq!(got, want, "ooc result must be bit-identical ({})", variant.name());
             assert_eq!(ooc_verify(&a_path, &b_path, &c_path, variant, &opts.machine).unwrap(), 0);
             // Disk traffic matches the staging predictor exactly.

@@ -17,7 +17,7 @@
 //!   [`BlockMatrixOf`] layout the packed kernels consume.
 //! * **Packed leaves**: below a tunable `cutoff` (in blocks), products
 //!   are handed to the existing 5-loop packed kernels via
-//!   [`mmc_exec::gemm_accumulate_cancellable`], inheriting their SIMD
+//!   [`mmc_exec::gemm_into`], inheriting their SIMD
 //!   micro-kernels and analytic `MC`/`KC`/`NC` blocking unchanged.
 //! * **Pooled workspace** ([`pool`]): the recursion runs its 7 products
 //!   sequentially with two quadrant temporaries per level, recycled
@@ -48,8 +48,7 @@ pub mod pool;
 use std::ops::Sub;
 
 use mmc_exec::{
-    gemm_accumulate_cancellable, gemm_parallel_cancellable, gemm_parallel_with_plan, BlockMatrixOf,
-    BlockingPlan, CancelToken, Element, KernelVariant, Tiling,
+    gemm_into, BlockMatrixOf, BlockingPlan, CancelToken, Element, GemmOpts, KernelVariant, Tiling,
 };
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +68,8 @@ pub struct StrassenOpts {
     pub cutoff: u32,
     /// Kernel variant the leaf products run.
     pub variant: KernelVariant,
-    /// `MC`/`KC`/`NC` blocking for the depth-0 (classic) fallback path.
+    /// `MC`/`KC`/`NC` blocking the leaf products and the depth-0
+    /// (classic) fallback run under.
     pub plan: BlockingPlan,
     /// Task tiling for leaf products, clamped to the leaf side.
     pub tiling: Tiling,
@@ -183,10 +183,9 @@ fn clamped_tiling(t: Tiling, side: u32) -> Tiling {
 struct Recursion<'a, T> {
     leaf_side: u32,
     q: usize,
-    variant: KernelVariant,
+    gemm: GemmOpts<'a>,
     leaf_tiling: Tiling,
     pool: BufferPool<T>,
-    cancel: Option<&'a CancelToken>,
     leaf_products: u64,
 }
 
@@ -203,14 +202,7 @@ impl<T: Element + Sub<Output = T>> Recursion<'_, T> {
         let am = BlockMatrixOf::from_vec(l, l, self.q, av);
         let bm = BlockMatrixOf::from_vec(l, l, self.q, bv);
         let mut cm = BlockMatrixOf::from_vec(l, l, self.q, self.pool.take_zeroed(len));
-        let ok = gemm_accumulate_cancellable(
-            &mut cm,
-            &am,
-            &bm,
-            self.leaf_tiling,
-            self.variant,
-            self.cancel,
-        );
+        let ok = gemm_into(&mut cm, &am, &bm, self.leaf_tiling, &self.gemm);
         if ok {
             dst.copy_from_slice(cm.data());
             self.leaf_products += 1;
@@ -225,7 +217,7 @@ impl<T: Element + Sub<Output = T>> Recursion<'_, T> {
     /// `dst = a·b` where all three are squares of side `ℓ·2^depth`
     /// blocks. Returns `false` when cancelled mid-recursion.
     fn rec(&mut self, dst: &mut [T], a: &[T], b: &[T], depth: u32) -> bool {
-        if self.cancel.is_some_and(|c| c.is_cancelled()) {
+        if self.gemm.cancel.is_some_and(CancelToken::is_cancelled) {
             return false;
         }
         if depth == 0 {
@@ -299,15 +291,16 @@ pub fn strassen_multiply_cancellable<T: Element + Sub<Output = T>>(
     assert_eq!(a.cols(), b.rows(), "inner block dimensions must agree");
     assert_eq!(a.q(), b.q(), "block sides must agree");
     let layout = MortonLayout::for_shape(a.rows(), b.cols(), a.cols(), opts.cutoff, a.q());
+    let gemm = GemmOpts { variant: opts.variant, plan: opts.plan, cancel };
     if layout.depth == 0 {
         // Already at or below the cutoff: the recursion would be a
         // single leaf, so skip the Morton round trip entirely and run
         // the classic packed path on the original row-major operands.
         let tiling = clamped_tiling(opts.tiling, a.rows().max(b.cols()).max(a.cols()));
-        let c = match cancel {
-            Some(t) => gemm_parallel_cancellable(a, b, tiling, opts.variant, opts.plan, t)?,
-            None => gemm_parallel_with_plan(a, b, tiling, opts.variant, opts.plan),
-        };
+        let mut c = BlockMatrixOf::zeros(a.rows(), b.cols(), a.q());
+        if !gemm_into(&mut c, a, b, tiling, &gemm) {
+            return None;
+        }
         let report = StrassenReport {
             depth: 0,
             leaf_side: layout.leaf_side,
@@ -323,10 +316,9 @@ pub fn strassen_multiply_cancellable<T: Element + Sub<Output = T>>(
     let mut r = Recursion {
         leaf_side: layout.leaf_side,
         q: layout.q,
-        variant: opts.variant,
+        gemm,
         leaf_tiling: clamped_tiling(opts.tiling, layout.leaf_side),
         pool: BufferPool::new(),
-        cancel,
         leaf_products: 0,
     };
     if !r.rec(mc.data_mut(), ma.data(), mb.data(), layout.depth) {

@@ -386,13 +386,14 @@ fn cmd_exec(flags: HashMap<String, String>) {
         run_traced(&a, &b, tiling, variant, blocking)
     };
     let dt = t0.elapsed().as_secs_f64();
-    let spans = task_spans(&run);
+    let tasks = run.spans.iter().filter(|s| s.kind == SpanKind::Tile).count();
     // Effective flops: Strassen does fewer, but GFLOP/s is reported
     // against the classic 2n³ so the two algorithms compare directly.
     let flops = 2.0 * (order as f64 * q as f64).powi(3);
-    let threads = spans.iter().filter_map(|s| s.thread).max().map_or(0, |t| t + 1);
+    let threads = run.spans.iter().filter_map(|s| s.thread).max().map_or(0, |t| t as usize + 1);
     if let Some(path) = flags.get("trace-out") {
-        if let Err(e) = std::fs::write(path, task_spans_to_chrome(&spans)) {
+        let trace = spans_to_chrome("mmc exec", &run.spans, &registry_counters());
+        if let Err(e) = std::fs::write(path, trace) {
             eprintln!("error writing {path}: {e}");
             exit(1);
         }
@@ -432,7 +433,7 @@ fn cmd_exec(flags: HashMap<String, String>) {
             tiling: tiling_name,
             kernel: kernel.to_string(),
             blocking: blocking.to_string(),
-            tasks: spans.len(),
+            tasks,
             threads,
             seconds: dt,
             gflops: flops / dt / 1e9,
@@ -464,7 +465,7 @@ fn cmd_exec(flags: HashMap<String, String>) {
         println!(
             "  {dt:.3}s  ->  {:.2} GFLOP/s ({} tile tasks over {threads} threads, {kernel} kernel, {blocking})",
             flops / dt / 1e9,
-            spans.len()
+            tasks
         );
         match (&strassen_report, max_abs_diff, tolerance) {
             (Some(sr), Some(diff), Some(tol)) => {
@@ -690,7 +691,7 @@ fn cmd_counters(flags: HashMap<String, String>) {
     let before = multicore_matmul::obs::global().snapshot();
     let counters = PerfCounters::open();
     let t0 = Instant::now();
-    let c = gemm_parallel_with_kernel(&ma, &mb, tiling, variant);
+    let c = gemm_parallel_with_plan(&ma, &mb, tiling, variant, plan);
     let seconds = t0.elapsed().as_secs_f64();
     let reading = counters.read();
     let after = multicore_matmul::obs::global().snapshot();
@@ -1206,6 +1207,16 @@ struct DriftSummary {
     ooc: DriftReport,
 }
 
+/// Registry counter totals, as Chrome counter events for a trace export.
+fn registry_counters() -> Vec<(String, f64)> {
+    multicore_matmul::obs::global()
+        .snapshot()
+        .counters
+        .into_iter()
+        .map(|c| (c.name, c.value as f64))
+        .collect()
+}
+
 fn cmd_drift(flags: HashMap<String, String>) {
     use multicore_matmul::obs::span;
     use multicore_matmul::ooc;
@@ -1272,13 +1283,8 @@ fn cmd_drift(flags: HashMap<String, String>) {
         let mut merged = run.spans.clone();
         merged.extend(span::collect_job(ooc_job));
         merged.sort_by_key(|s| (s.start_ns, s.kind, s.thread));
-        let counters: Vec<(String, f64)> = multicore_matmul::obs::global()
-            .snapshot()
-            .counters
-            .into_iter()
-            .map(|c| (c.name, c.value as f64))
-            .collect();
-        if let Err(e) = std::fs::write(path, spans_to_chrome("mmc drift", &merged, &counters)) {
+        let trace = spans_to_chrome("mmc drift", &merged, &registry_counters());
+        if let Err(e) = std::fs::write(path, trace) {
             eprintln!("error writing {path}: {e}");
             let _ = std::fs::remove_dir_all(&dir);
             exit(1);

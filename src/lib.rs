@@ -76,10 +76,9 @@ pub mod prelude {
         bounds, formulas, params, CoreGrid, Prediction, ProblemSpec, TradeoffParams,
     };
     pub use mmc_exec::{
-        exec_drift, gemm_naive, gemm_parallel, gemm_parallel_traced, gemm_parallel_with_kernel,
-        gemm_parallel_with_plan, run_schedule, run_traced, spans_to_chrome, task_spans,
-        task_spans_to_chrome, BlockMatrix, BlockMatrixOf, BlockingPlan, ExecModel, ExecSink,
-        KernelVariant, TaskSpan, Tiling, TracedRun,
+        exec_drift, gemm_into, gemm_naive, gemm_parallel, gemm_parallel_with_plan, run_schedule,
+        run_traced, spans_to_chrome, BlockMatrix, BlockMatrixOf, BlockingPlan, ExecModel, ExecSink,
+        GemmOpts, KernelVariant, Tiling, TracedRun,
     };
     pub use mmc_obs::{
         CounterReading, DriftReport, PerfCounters, PhaseDrift, Registry, RegistrySnapshot,

@@ -33,8 +33,8 @@ use std::time::Instant;
 
 use crate::exec::kernel::variants_available;
 use crate::exec::{
-    blocking, exec_drift, gemm_parallel_cancellable, BlockMatrix, CancelToken, ExecModel,
-    KernelVariant, TracedRun,
+    blocking, exec_drift, gemm_into, BlockMatrix, CancelToken, ExecModel, GemmOpts, KernelVariant,
+    TracedRun,
 };
 use crate::obs::{span, SCHEMA_VERSION};
 use crate::ooc::{ooc_multiply_cancellable, OocError, OocOpts, TiledFile};
@@ -250,7 +250,9 @@ fn run_mem_job(
         let opts = StrassenOpts { cutoff: crate::strassen::DEFAULT_CUTOFF, variant, plan, tiling };
         strassen_multiply_cancellable(&a, &b, &opts, Some(token)).map(|(c, _report)| c)
     } else {
-        gemm_parallel_cancellable(&a, &b, tiling, variant, plan, token)
+        let mut c = BlockMatrix::zeros(spec.m, spec.n, spec.q);
+        let opts = GemmOpts { variant, plan, cancel: Some(token) };
+        gemm_into(&mut c, &a, &b, tiling, &opts).then_some(c)
     };
     let spans = span::collect_job(trace_job);
     let Some(c) = c else {

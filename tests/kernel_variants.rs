@@ -110,7 +110,7 @@ fn executor_paths_are_bit_identical_for_all_tilings() {
 }
 
 /// Forcing each available variant through the public
-/// `gemm_parallel_with_kernel` API agrees with the oracle within
+/// `gemm_parallel_with_plan` API agrees with the oracle within
 /// rounding (scalar is unfused, SIMD is fused, so `==` only holds
 /// within one variant — across variants we use a tolerance).
 #[test]
@@ -121,7 +121,8 @@ fn forced_variants_agree_with_oracle() {
     let want = gemm_naive(&a, &b);
     let tiling = Tiling::tradeoff(&machine).unwrap();
     for v in kernel::variants_available() {
-        let got = gemm_parallel_with_kernel(&a, &b, tiling, v);
+        let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
+        let got = gemm_parallel_with_plan(&a, &b, tiling, v, plan);
         assert!(
             got.max_abs_diff(&want) <= 1e-10,
             "variant {v}: max diff {}",

@@ -39,7 +39,7 @@ proptest! {
     /// configuration of the sequential path — ascending-k accumulation is
     /// a schedule invariant, not an accident of one code path. The
     /// parallel path routes its trailing update through the packed
-    /// `gemm_accumulate`, whose micro-kernel reassociates FMAs, so it
+    /// `gemm_into`, whose micro-kernel reassociates FMAs, so it
     /// agrees to rounding rather than bit-for-bit.
     #[test]
     fn factors_are_configuration_independent(

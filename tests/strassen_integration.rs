@@ -6,10 +6,10 @@
 //! closed-form work count for a recursive run, and the model-driven
 //! `auto` selection must flip exactly at its own predicted crossover.
 
+use multicore_matmul::obs;
 use multicore_matmul::prelude::*;
 use multicore_matmul::sim::strassen as sim_strassen;
 use multicore_matmul::strassen::morton::{morton_decode, morton_encode};
-use multicore_matmul::{exec, obs};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -71,9 +71,7 @@ proptest! {
         let _g = lock();
         let a = BlockMatrixOf::<f32>::pseudo_random(m, z, q, seed);
         let b = BlockMatrixOf::<f32>::pseudo_random(z, n, q, seed.wrapping_add(1));
-        let reference = gemm_parallel_with_kernel(
-            &a, &b, whole_tiling(m, n, z), exec::kernel::variant(),
-        );
+        let reference = gemm_parallel(&a, &b, whole_tiling(m, n, z));
         let (c, report) = strassen_multiply(&a, &b, &StrassenOpts::with_cutoff::<f32>(cutoff));
         let tol = multicore_matmul::strassen::comparison_tolerance(
             &a, &b, &report, f64::from(f32::EPSILON) / 2.0,
