@@ -158,10 +158,11 @@ fn main() {
     let mut drift_reports = Vec::new();
     let bandwidth_gbs = mmc_obs::stream_triad_bandwidth_gbs();
     if let Some(tiling) = Tiling::tradeoff(&machine) {
-        // The 5-loop plans every variant runs under.
-        let (plan64, plan32) = (blocking::active_plan::<f64>(), blocking::active_plan::<f32>());
-        let (plan64_name, plan32_name) = (plan64.to_string(), plan32.to_string());
         for v in kernel::variants_available() {
+            // The 5-loop plan this variant runs under (its register tile
+            // sets the derived KC/MC/NC).
+            let plan64 = blocking::active_plan_for::<f64>(v);
+            let plan64_name = plan64.to_string();
             let secs = best_seconds(5, || {
                 std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
             });
@@ -197,6 +198,8 @@ fn main() {
         let ka32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 3);
         let kb32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 4);
         for v in kernel::variants_available() {
+            let plan32 = blocking::active_plan_for::<f32>(v);
+            let plan32_name = plan32.to_string();
             let kname = format!("{}_f32", v.name());
             let secs = best_seconds(5, || {
                 std::hint::black_box(gemm_parallel_with_plan(&ka32, &kb32, tiling, v, plan32));
@@ -230,6 +233,7 @@ fn main() {
         // in the committed file *is* the always-on-tracing overhead
         // claim, machine-readable.
         let v = kernel::variant();
+        let plan64 = blocking::active_plan::<f64>();
         let spans_were_on = span::enabled();
         span::set_enabled(false);
         let secs = best_seconds(5, || {
@@ -249,7 +253,7 @@ fn main() {
         // closed forms apply exactly, held to account per phase.
         if span::enabled() {
             let whole = Tiling { tile_m: korder, tile_n: korder, tile_k: 1 };
-            let (_c, trun) = run_traced(&ka, &kb, whole, v, blocking::active_plan::<f64>());
+            let (_c, trun) = run_traced(&ka, &kb, whole, v, blocking::active_plan_for::<f64>(v));
             let model = ExecModel::for_run(&ka, &kb, whole, v);
             drift_reports.push(exec_drift(&trun, &model, mmc_obs::drift::DEFAULT_BAND));
         }

@@ -60,9 +60,9 @@ pub fn equal_tile(capacity: usize) -> Option<u32> {
 /// This is the Tradeoff footprint constraint `α² + 2αβ ≤ C_S` (§3.3)
 /// generalized to a non-square tile — with `rows = cols = α` it returns
 /// exactly the paper's `β = ⌊(C_S − α²)/(2α)⌋`. The executor's analytic
-/// 5-loop blocking applies it at every cache level: `KC` from L1 around
-/// the `MR×NR` register tile, `MC` from L2 around the `KC×NR` B
-/// micro-panel, `NC` from the shared cache around the `MC×KC` A panel.
+/// 5-loop blocking applies it at the outer cache levels: `MC` from L2
+/// around the `KC×NR` B micro-panel, `NC` from the shared cache around
+/// the `MC×KC` A panel (`KC` itself sizes that B micro-panel to L1).
 ///
 /// Returns `None` when even `d = 1` does not fit.
 pub fn max_panel_depth(capacity: usize, rows: usize, cols: usize) -> Option<usize> {

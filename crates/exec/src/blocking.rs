@@ -4,11 +4,16 @@
 //! [`crate::runner`]); this module decides, at dispatch time, how deep
 //! each macro loop steps. The derivation applies the paper's Tradeoff
 //! footprint constraint `α² + 2αβ ≤ C_S` (§3.3) — generalized to
-//! non-square tiles by [`mmc_core::params::max_panel_depth`] — once per
-//! cache level, innermost out:
+//! non-square tiles by [`mmc_core::params::max_panel_depth`] — at the
+//! outer cache levels, innermost out:
 //!
-//! * `KC` — deepest `k` panel such that the `MR×NR` register tile plus a
-//!   `MR×KC` `A` sliver and a `KC×NR` `B` sliver fit in (half of) L1;
+//! * `KC` — deepest `k` panel whose `KC×NR` `B` micro-panel fits in
+//!   (half of) L1, with `NR` from the kernel variant's register tile
+//!   ([`crate::kernel::KernelVariant::tile`]). That micro-panel is the
+//!   one operand the register kernel re-reads from L1 (once per `A`
+//!   micro-panel of a block); the `MR×KC` `A` micro-panels stream
+//!   through the other half and the `MR×NR` `C` tile lives in
+//!   registers, so neither is charged to L1;
 //! * `MC` — tallest `A` block such that the resident `KC×NR` `B`
 //!   micro-panel plus `MC×KC` `A` panel fit in (half of) L2;
 //! * `NC` — widest `B` panel such that the resident `MC×KC` `A` panel
@@ -28,6 +33,7 @@
 //! every measured rate carries the blocking it ran under.
 
 use crate::kernel::elem::Element;
+use crate::kernel::{self, KernelVariant, RegTile};
 use mmc_core::params;
 use std::fmt;
 use std::sync::OnceLock;
@@ -122,23 +128,25 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok().and_then(|v| v.checked_mul(mul))
 }
 
-/// Derive the analytic plan for element type `T` from `levels`.
+/// Derive the analytic plan for element type `T` and register tile
+/// `tile` from `levels`.
 ///
-/// Each level contributes one [`params::max_panel_depth`] solve — the
-/// paper's `α² + 2αβ ≤ C_S` footprint with the resident tile of the
-/// level below as `α` — over half the level's capacity in elements.
-pub fn derive_plan<T: Element>(levels: &CacheLevels) -> BlockingPlan {
+/// `KC` is the deepest `B` micro-panel that fits half of L1 (see the
+/// module docs). `MC` and `NC` each come from one
+/// [`params::max_panel_depth`] solve — the paper's `α² + 2αβ ≤ C_S`
+/// footprint with the resident panel of the level below as `α` — over
+/// half the level's capacity in elements.
+pub fn derive_plan<T: Element>(levels: &CacheLevels, tile: RegTile) -> BlockingPlan {
+    let RegTile { mr, nr } = tile;
     let es = std::mem::size_of::<T>();
-    let budget = |bytes: u64| (bytes as usize / es / 2).max(T::MR * T::NR + T::MR + T::NR);
-    let kc = params::max_panel_depth(budget(levels.l1d_bytes), T::MR, T::NR).unwrap_or(1).max(8);
-    let mc =
-        params::max_panel_depth(budget(levels.l2_bytes), kc, T::NR).unwrap_or(T::MR).max(T::MR);
+    let budget = |bytes: u64| (bytes as usize / es / 2).max(mr * nr + mr + nr);
+    let kc = (budget(levels.l1d_bytes) / nr).max(8);
+    let mc = params::max_panel_depth(budget(levels.l2_bytes), kc, nr).unwrap_or(mr).max(mr);
     // Round MC down to whole register-tile rows so the MC loop cuts on
     // micro-panel boundaries when it can.
-    let mc = (mc / T::MR * T::MR).max(T::MR);
-    let nc =
-        params::max_panel_depth(budget(levels.shared_bytes), mc, kc).unwrap_or(T::NR).max(T::NR);
-    let nc = (nc / T::NR * T::NR).max(T::NR);
+    let mc = (mc / mr * mr).max(mr);
+    let nc = params::max_panel_depth(budget(levels.shared_bytes), mc, kc).unwrap_or(nr).max(nr);
+    let nc = (nc / nr * nr).max(nr);
     BlockingPlan { mc, kc, nc }
 }
 
@@ -182,11 +190,18 @@ pub fn parse_override(s: &str) -> Result<BlockingPlan, String> {
     })
 }
 
-/// The plan the packed executor runs under for element type `T`:
-/// the `MMC_BLOCKING` override when set, else the analytic derivation
-/// from the host's detected cache levels.
+/// The plan the packed executor runs under for element type `T` and
+/// the dispatched kernel variant ([`active_plan_for`] of
+/// [`kernel::variant`]).
 pub fn active_plan<T: Element>() -> BlockingPlan {
-    env_override().unwrap_or_else(|| derive_plan::<T>(&CacheLevels::detect_host()))
+    active_plan_for::<T>(kernel::variant())
+}
+
+/// The plan for element type `T` under kernel variant `v`: the
+/// `MMC_BLOCKING` override when set, else the analytic derivation for
+/// `v`'s register tile from the host's detected cache levels.
+pub fn active_plan_for<T: Element>(v: KernelVariant) -> BlockingPlan {
+    env_override().unwrap_or_else(|| derive_plan::<T>(&CacheLevels::detect_host(), v.tile::<T>()))
 }
 
 #[cfg(test)]
@@ -214,36 +229,54 @@ mod tests {
         assert_eq!(parse_bytes("18446744073709551616"), None);
     }
 
+    const TILES_F64: [RegTile; 2] = [RegTile::ymm::<f64>(), RegTile::zmm::<f64>()];
+
     #[test]
     fn derived_plan_respects_the_footprint_constraint_per_level() {
         let levels = CacheLevels::FALLBACK;
-        let plan = derive_plan::<f64>(&levels);
         let es = std::mem::size_of::<f64>();
-        let (mr, nr) = (<f64 as Element>::MR, <f64 as Element>::NR);
-        // KC: register tile + A sliver + B sliver within half of L1.
-        assert!(
-            (mr * nr + plan.kc * (mr + nr)) * es <= levels.l1d_bytes as usize / 2 + (mr + nr) * es
-        );
-        // MC: B micro-panel + A panel within half of L2.
-        assert!(
-            (plan.kc * nr + plan.mc * (plan.kc + nr)) * es
-                <= levels.l2_bytes as usize / 2 + (plan.kc + nr) * es * mr
-        );
-        // Ordering sanity: a k panel is deeper than the register tile and
-        // NC covers at least one register tile of columns.
-        assert!(plan.kc >= 8 && plan.mc >= mr && plan.nc >= nr);
-        assert_eq!(plan.mc % mr, 0);
-        assert_eq!(plan.nc % nr, 0);
+        for tile in TILES_F64 {
+            let plan = derive_plan::<f64>(&levels, tile);
+            let RegTile { mr, nr } = tile;
+            // KC: the B micro-panel within half of L1, and no shallower
+            // than that budget allows.
+            assert!(plan.kc * nr * es <= levels.l1d_bytes as usize / 2);
+            assert!((plan.kc + 1) * nr * es > levels.l1d_bytes as usize / 2);
+            // MC: B micro-panel + A panel within half of L2.
+            assert!(
+                (plan.kc * nr + plan.mc * (plan.kc + nr)) * es
+                    <= levels.l2_bytes as usize / 2 + (plan.kc + nr) * es * mr
+            );
+            // Ordering sanity: a k panel is deeper than the register tile
+            // and NC covers at least one register tile of columns.
+            assert!(plan.kc >= 8 && plan.mc >= mr && plan.nc >= nr);
+            assert_eq!(plan.mc % mr, 0);
+            assert_eq!(plan.nc % nr, 0);
+        }
     }
 
     #[test]
     fn wider_f32_tiles_get_deeper_panels() {
         // Same byte budgets, half the element size: the f32 plan's KC
-        // must be at least the f64 plan's.
+        // must be at least the f64 plan's, for every variant's tile.
         let levels = CacheLevels::FALLBACK;
-        let p64 = derive_plan::<f64>(&levels);
-        let p32 = derive_plan::<f32>(&levels);
-        assert!(p32.kc >= p64.kc, "f32 {p32:?} vs f64 {p64:?}");
+        for v in KernelVariant::ALL {
+            let p64 = derive_plan::<f64>(&levels, v.tile::<f64>());
+            let p32 = derive_plan::<f32>(&levels, v.tile::<f32>());
+            assert!(p32.kc >= p64.kc, "{v}: f32 {p32:?} vs f64 {p64:?}");
+        }
+    }
+
+    #[test]
+    fn active_plans_follow_the_variant_tile() {
+        for v in KernelVariant::ALL {
+            let plan = active_plan_for::<f64>(v);
+            if env_override().is_none() {
+                let want = derive_plan::<f64>(&CacheLevels::detect_host(), v.tile::<f64>());
+                assert_eq!(plan, want, "{v}");
+            }
+        }
+        assert_eq!(active_plan::<f64>(), active_plan_for::<f64>(kernel::variant()));
     }
 
     #[test]

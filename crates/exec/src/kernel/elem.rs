@@ -4,12 +4,11 @@
 //! packed-panel driver, the register micro-kernels — is generic over an
 //! [`Element`]: the scalar type flowing through the product. Two
 //! implementations exist, `f64` (the default everywhere) and `f32`,
-//! whose register tile is twice as wide for the same vector registers.
+//! whose register tile is twice as wide for the same vector registers
+//! (the tile itself is [`KernelVariant::tile`]).
 //!
 //! The trait pins the pieces that differ per type:
 //!
-//! * the register-tile shape [`Element::MR`]`×`[`Element::NR`] the
-//!   packed layouts and micro-kernels agree on;
 //! * the arch micro-kernel dispatch ([`Element::micro_full`]) and the
 //!   unpacked block kernel ([`Element::block_fma`]);
 //! * the per-type thread-local packing arena ([`Element::with_arena`] —
@@ -36,10 +35,6 @@ pub trait Element:
     + std::ops::Mul<Output = Self>
     + 'static
 {
-    /// Rows of `C` held in registers by this type's SIMD micro-kernels.
-    const MR: usize;
-    /// Columns of `C` held in registers by this type's SIMD micro-kernels.
-    const NR: usize;
     /// Stable lowercase name (`"f64"` / `"f32"`), used in bench records.
     const NAME: &'static str;
     /// Additive identity (packing pads ragged edges with it).
@@ -52,8 +47,8 @@ pub trait Element:
     /// Fused multiply-add `self × mul + add` (one rounding).
     fn mul_add(self, mul: Self, add: Self) -> Self;
 
-    /// Run the variant's full `MR×NR` vector kernel on one register tile
-    /// of packed panels, returning `false` when this type has no vector
+    /// Run the variant's full vector kernel on one register tile
+    /// ([`KernelVariant::tile`]) of packed panels, returning `false` when this type has no vector
     /// kernel for `v` on this arch (the caller then takes the fused
     /// scalar tile path, which rounds identically).
     fn micro_full(
@@ -74,11 +69,6 @@ pub trait Element:
 }
 
 impl Element for f64 {
-    // 6×8: twelve 4-wide YMM accumulators on AVX2, twenty-four 2-wide
-    // NEON accumulators — deep enough to hide FMA latency while leaving
-    // the load ports under the FMA throughput (see `super::x86`).
-    const MR: usize = 6;
-    const NR: usize = 8;
     const NAME: &'static str = "f64";
     const ZERO: f64 = 0.0;
 
@@ -106,8 +96,9 @@ impl Element for f64 {
         c: &mut [f64],
         ldc: usize,
     ) -> bool {
-        debug_assert!(ap.len() >= kc * Self::MR && bp.len() >= kc * Self::NR);
-        debug_assert!(c.len() >= (Self::MR - 1) * ldc + Self::NR);
+        let t = v.tile::<Self>();
+        debug_assert!(ap.len() >= kc * t.mr && bp.len() >= kc * t.nr);
+        debug_assert!(c.len() >= (t.mr - 1) * ldc + t.nr);
         match v {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: availability checked; panel/tile sizes checked by
@@ -115,6 +106,14 @@ impl Element for f64 {
             KernelVariant::Avx2Fma if v.is_available() => {
                 unsafe {
                     super::x86::micro_6x8_f64(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc)
+                };
+                true
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for AVX2.
+            KernelVariant::Avx512Fma if v.is_available() => {
+                unsafe {
+                    super::x86::micro_8x16_f64(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc)
                 };
                 true
             }
@@ -139,6 +138,11 @@ impl Element for f64 {
             KernelVariant::Avx2Fma if v.is_available() => unsafe {
                 super::x86::block_fma_avx2(c, a, b, q)
             },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_available` verified AVX-512F; lengths as above.
+            KernelVariant::Avx512Fma if v.is_available() => unsafe {
+                super::x86::block_fma_avx512(c, a, b, q)
+            },
             #[cfg(target_arch = "aarch64")]
             // SAFETY: NEON is baseline on aarch64.
             KernelVariant::Neon if v.is_available() => unsafe {
@@ -157,10 +161,6 @@ impl Element for f64 {
 }
 
 impl Element for f32 {
-    // Same six rows as f64, twice the columns: the vector registers are
-    // the same width, each lane holds twice as many f32s.
-    const MR: usize = 6;
-    const NR: usize = 16;
     const NAME: &'static str = "f32";
     const ZERO: f32 = 0.0;
 
@@ -188,14 +188,23 @@ impl Element for f32 {
         c: &mut [f32],
         ldc: usize,
     ) -> bool {
-        debug_assert!(ap.len() >= kc * Self::MR && bp.len() >= kc * Self::NR);
-        debug_assert!(c.len() >= (Self::MR - 1) * ldc + Self::NR);
+        let t = v.tile::<Self>();
+        debug_assert!(ap.len() >= kc * t.mr && bp.len() >= kc * t.nr);
+        debug_assert!(c.len() >= (t.mr - 1) * ldc + t.nr);
         match v {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: availability checked; sizes checked as for f64.
             KernelVariant::Avx2Fma if v.is_available() => {
                 unsafe {
                     super::x86::micro_6x16_f32(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc)
+                };
+                true
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for AVX2.
+            KernelVariant::Avx512Fma if v.is_available() => {
+                unsafe {
+                    super::x86::micro_8x32_f32(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc)
                 };
                 true
             }
@@ -239,8 +248,11 @@ mod tests {
 
     #[test]
     fn tile_shapes_share_rows_and_double_width() {
-        assert_eq!(<f64 as Element>::MR, <f32 as Element>::MR);
-        assert_eq!(<f32 as Element>::NR, 2 * <f64 as Element>::NR);
+        for v in KernelVariant::ALL {
+            let (t64, t32) = (v.tile::<f64>(), v.tile::<f32>());
+            assert_eq!(t64.mr, t32.mr, "{v}");
+            assert_eq!(t32.nr, 2 * t64.nr, "{v}");
+        }
         assert_eq!(<f64 as Element>::NAME, "f64");
         assert_eq!(<f32 as Element>::NAME, "f32");
     }

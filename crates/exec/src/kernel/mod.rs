@@ -5,12 +5,14 @@
 //! auto-vectorized scalar loop into a small BLIS-style stack:
 //!
 //! * [`elem`] — the [`Element`](elem::Element) abstraction (`f64` /
-//!   `f32`) fixing each type's register-tile shape and kernel dispatch;
+//!   `f32`) carrying each type's kernel dispatch and packing arena;
 //! * [`scalar`] — the portable fallback: the original `i/k/j` triple loop
 //!   whose inner loop the compiler auto-vectorizes;
-//! * [`x86`] (x86_64 only) — register-blocked AVX2+FMA kernels holding a
-//!   6×8 (`f64`) or 6×16 (`f32`) tile of `C` in twelve YMM accumulators;
-//! * [`neon`] (aarch64 only) — the same tile shapes on 128-bit NEON;
+//! * [`x86`] (x86_64 only) — register-blocked kernels: AVX2+FMA holding a
+//!   6×8 (`f64`) or 6×16 (`f32`) tile of `C` in twelve YMM accumulators,
+//!   and AVX-512F holding an 8×16 (`f64`) or 8×32 (`f32`) tile in sixteen
+//!   ZMM accumulators;
+//! * [`neon`] (aarch64 only) — the YMM tile shapes on 128-bit NEON;
 //! * [`pack`] — thread-local scratch arenas that copy `A` row-panels and
 //!   `B` column-panels into contiguous micro-panel layout (the Maximum
 //!   Reuse residency pattern — a `µ×µ` tile of `C`, a row of `A`, a
@@ -19,13 +21,18 @@
 //!   scalar variant, an unfused loop) over packed micro-panels for the
 //!   parallel executor's tiles.
 //!
+//! The register tile is a property of the (variant, element type) pair,
+//! [`KernelVariant::tile`]: packing layouts, the packed driver and the
+//! blocking derivation all read it from the variant they run.
+//!
 //! # Dispatch
 //!
 //! The active [`KernelVariant`] is selected once per process (cached in a
-//! `OnceLock`): AVX2+FMA when `is_x86_feature_detected!` says so, NEON on
-//! aarch64, otherwise the scalar loop. Set `MMC_KERNEL=scalar` (or
-//! `avx2` / `neon` / `auto`) before the first kernel call to override; an
-//! unknown name is a hard error listing the valid variants.
+//! `OnceLock`): AVX-512F when `is_x86_feature_detected!` says so, then
+//! AVX2+FMA, NEON on aarch64, otherwise the scalar loop. Set
+//! `MMC_KERNEL` to a variant name ([`VARIANT_NAMES`]) before the first
+//! kernel call to override; an unknown name is a hard error listing the
+//! valid variants.
 //!
 //! # Determinism
 //!
@@ -35,9 +42,13 @@
 //! (vector lanes and scalar edges alike), the scalar variant uses an
 //! unfused multiply+add everywhere. Results are therefore
 //! **bit-identical across executors** (`gemm_naive`, `run_schedule`,
-//! `gemm_into` under any `MC/KC/NC` blocking) for any fixed variant, which the test suite checks with `==`. Switching variants
-//! changes rounding (fused vs unfused), so cross-variant comparisons use
-//! a tolerance.
+//! `gemm_into` under any `MC/KC/NC` blocking) for any fixed variant,
+//! which the test suite checks with `==`. The register tile only decides
+//! which elements share a vector register, never the per-element
+//! sequence, so the fused SIMD variants (`avx2_fma`, `avx512_fma`,
+//! `neon`) also agree with each other bit for bit. Only the scalar
+//! variant rounds differently (unfused), so comparisons between scalar
+//! and a SIMD variant use a tolerance.
 
 use std::sync::OnceLock;
 
@@ -60,18 +71,71 @@ pub enum KernelVariant {
     Scalar,
     /// Register-tiled AVX2 kernel using fused multiply-add (x86_64).
     Avx2Fma,
+    /// Register-tiled AVX-512F kernel using fused multiply-add (x86_64).
+    Avx512Fma,
     /// Register-tiled NEON kernel using fused multiply-add (aarch64).
     Neon,
 }
 
+/// The spellings [`KernelVariant::from_name`] and `MMC_KERNEL` accept,
+/// for usage and error messages.
+pub const VARIANT_NAMES: &str =
+    "scalar, avx2_fma (alias: avx2), avx512_fma (alias: avx512), neon, auto";
+
+/// A micro-kernel's register tile: the `mr×nr` corner of `C` it keeps
+/// in vector registers across a `k` panel. Packed `A` micro-panels hold
+/// `mr` values per `k` step, packed `B` micro-panels `nr`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RegTile {
+    /// Rows of `C` per register tile.
+    pub mr: usize,
+    /// Columns of `C` per register tile.
+    pub nr: usize,
+}
+
+impl RegTile {
+    /// Six rows of two 32-byte YMM registers (6×8 `f64`, 6×16 `f32`):
+    /// the AVX2 kernels' tile, which the NEON and scalar kernels share.
+    pub const fn ymm<T>() -> RegTile {
+        RegTile { mr: 6, nr: 64 / std::mem::size_of::<T>() }
+    }
+
+    /// Eight rows of two 64-byte ZMM registers (8×16 `f64`, 8×32 `f32`):
+    /// sixteen accumulators out of AVX-512's 32 registers.
+    pub const fn zmm<T>() -> RegTile {
+        RegTile { mr: 8, nr: 128 / std::mem::size_of::<T>() }
+    }
+}
+
 impl KernelVariant {
+    /// Every variant, scalar first.
+    pub const ALL: [KernelVariant; 4] = [
+        KernelVariant::Scalar,
+        KernelVariant::Avx2Fma,
+        KernelVariant::Avx512Fma,
+        KernelVariant::Neon,
+    ];
+
     /// Stable lowercase name, as reported by `mmc exec --json` and the
     /// `BENCH_exec.json` records.
     pub fn name(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "scalar",
             KernelVariant::Avx2Fma => "avx2_fma",
+            KernelVariant::Avx512Fma => "avx512_fma",
             KernelVariant::Neon => "neon",
+        }
+    }
+
+    /// The variant a name or its short alias (`avx2`, `avx512`) spells;
+    /// `None` for anything else, `auto` included. See [`VARIANT_NAMES`].
+    pub fn from_name(name: &str) -> Option<KernelVariant> {
+        match name {
+            "scalar" => Some(KernelVariant::Scalar),
+            "avx2" | "avx2_fma" => Some(KernelVariant::Avx2Fma),
+            "avx512" | "avx512_fma" => Some(KernelVariant::Avx512Fma),
+            "neon" => Some(KernelVariant::Neon),
+            _ => None,
         }
     }
 
@@ -94,7 +158,37 @@ impl KernelVariant {
                 #[cfg(not(target_arch = "x86_64"))]
                 false
             }
+            KernelVariant::Avx512Fma => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    std::arch::is_x86_feature_detected!("avx512f")
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                false
+            }
             KernelVariant::Neon => cfg!(target_arch = "aarch64"),
+        }
+    }
+
+    /// The variant that actually runs when `self` is asked for: `self`
+    /// if the CPU can run it, else the scalar fallback.
+    pub fn runnable(self) -> KernelVariant {
+        if self.is_available() {
+            self
+        } else {
+            KernelVariant::Scalar
+        }
+    }
+
+    /// The register tile of this variant's micro-kernels for element type
+    /// `T`: [`RegTile::zmm`] for `avx512_fma`, [`RegTile::ymm`] for every
+    /// other variant. A variant the CPU cannot run gets the scalar
+    /// fallback's tile, matching the kernel that runs.
+    pub fn tile<T: Element>(self) -> RegTile {
+        if self.runnable() == KernelVariant::Avx512Fma {
+            RegTile::zmm::<T>()
+        } else {
+            RegTile::ymm::<T>()
         }
     }
 }
@@ -107,15 +201,12 @@ impl std::fmt::Display for KernelVariant {
 
 /// Every variant the current CPU supports (the scalar fallback first).
 pub fn variants_available() -> Vec<KernelVariant> {
-    [KernelVariant::Scalar, KernelVariant::Avx2Fma, KernelVariant::Neon]
-        .into_iter()
-        .filter(|v| v.is_available())
-        .collect()
+    KernelVariant::ALL.into_iter().filter(|v| v.is_available()).collect()
 }
 
 /// The dispatched kernel variant, selected once per process and cached.
 ///
-/// Honors `MMC_KERNEL` (`scalar`, `avx2`, `neon`, `auto`) if it is set
+/// Honors `MMC_KERNEL` (a name from [`VARIANT_NAMES`]) if it is set
 /// before the first kernel call; a requested variant the CPU lacks falls
 /// back to auto-detection. An *unknown* name is a usage error: the
 /// process exits with a message listing the valid variants rather than
@@ -139,15 +230,13 @@ pub fn variant() -> KernelVariant {
 /// spellings so callers can fail cleanly.
 pub fn select(request: Option<&str>) -> Result<KernelVariant, String> {
     let requested = match request {
-        Some("scalar") => Some(KernelVariant::Scalar),
-        Some("avx2") | Some("avx2_fma") => Some(KernelVariant::Avx2Fma),
-        Some("neon") => Some(KernelVariant::Neon),
         Some("auto") | None => None,
-        Some(other) => {
-            return Err(format!(
-                "unknown kernel {other:?}; valid variants: scalar, avx2_fma (alias: avx2), neon, auto"
-            ));
-        }
+        Some(name) => match KernelVariant::from_name(name) {
+            Some(v) => Some(v),
+            None => {
+                return Err(format!("unknown kernel {name:?}; valid variants: {VARIANT_NAMES}"))
+            }
+        },
     };
     Ok(match requested {
         Some(v) if v.is_available() => v,
@@ -161,13 +250,10 @@ pub fn select(request: Option<&str>) -> Result<KernelVariant, String> {
 
 /// The fastest variant the CPU supports.
 fn best_available() -> KernelVariant {
-    if KernelVariant::Avx2Fma.is_available() {
-        KernelVariant::Avx2Fma
-    } else if KernelVariant::Neon.is_available() {
-        KernelVariant::Neon
-    } else {
-        KernelVariant::Scalar
-    }
+    [KernelVariant::Avx512Fma, KernelVariant::Avx2Fma, KernelVariant::Neon]
+        .into_iter()
+        .find(|v| v.is_available())
+        .unwrap_or(KernelVariant::Scalar)
 }
 
 /// Hint the cache to pull the line at `p` toward L1.
@@ -352,12 +438,17 @@ mod tests {
         // Bogus names are a hard error whose message lists every valid
         // spelling — no silent fallback to auto-detection.
         let err = select(Some("definitely-not-a-kernel")).unwrap_err();
-        for valid in ["scalar", "avx2_fma", "neon", "auto"] {
+        for valid in ["scalar", "avx2_fma", "avx512_fma", "neon", "auto"] {
             assert!(err.contains(valid), "error must list {valid:?}: {err}");
         }
         // A known SIMD request resolves to something the CPU can run.
         assert!(select(Some("avx2")).unwrap().is_available());
+        assert!(select(Some("avx512")).unwrap().is_available());
         assert!(select(Some("neon")).unwrap().is_available());
+        // With nothing requested, ZMM wins over YMM where the CPU has it.
+        if KernelVariant::Avx512Fma.is_available() {
+            assert_eq!(auto, KernelVariant::Avx512Fma);
+        }
         // The cached dispatch returns an available variant and is stable.
         assert_eq!(variant(), variant());
         assert!(variant().is_available());
@@ -367,9 +458,42 @@ mod tests {
     fn variant_names_are_stable() {
         assert_eq!(KernelVariant::Scalar.name(), "scalar");
         assert_eq!(KernelVariant::Avx2Fma.name(), "avx2_fma");
+        assert_eq!(KernelVariant::Avx512Fma.name(), "avx512_fma");
         assert_eq!(KernelVariant::Neon.name(), "neon");
         assert!(!KernelVariant::Scalar.is_simd());
         assert!(KernelVariant::Avx2Fma.is_simd() && KernelVariant::Neon.is_simd());
+        assert!(KernelVariant::Avx512Fma.is_simd());
         assert_eq!(variants_available().first(), Some(&KernelVariant::Scalar));
+    }
+
+    #[test]
+    fn names_and_aliases_round_trip() {
+        for v in KernelVariant::ALL {
+            assert_eq!(KernelVariant::from_name(v.name()), Some(v));
+            assert!(VARIANT_NAMES.contains(v.name()), "{v} missing from {VARIANT_NAMES}");
+        }
+        assert_eq!(KernelVariant::from_name("avx2"), Some(KernelVariant::Avx2Fma));
+        assert_eq!(KernelVariant::from_name("avx512"), Some(KernelVariant::Avx512Fma));
+        assert_eq!(KernelVariant::from_name("auto"), None);
+        assert_eq!(KernelVariant::from_name("AVX512"), None);
+    }
+
+    #[test]
+    fn tiles_follow_the_runnable_variant() {
+        for v in KernelVariant::ALL {
+            let (t64, t32) = (v.tile::<f64>(), v.tile::<f32>());
+            if v.runnable() == KernelVariant::Avx512Fma {
+                assert_eq!((t64.mr, t64.nr, t32.nr), (8, 16, 32));
+            } else {
+                // Everything else, unavailable variants included, runs
+                // a 6×8 (f64) / 6×16 (f32) tile.
+                assert_eq!((t64.mr, t64.nr, t32.nr), (6, 8, 16), "{v}");
+            }
+            assert!(v.runnable().is_available());
+            if !v.is_available() {
+                assert_eq!(v.runnable(), KernelVariant::Scalar);
+                assert_eq!(t64, KernelVariant::Scalar.tile::<f64>());
+            }
+        }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! [`block_mul_packed`] updates a single row-major `q×q` `C` block from
 //! packed `A` and `B` micro-panels (see [`super::pack`] for the layout),
-//! walking the block's `MR×NR` register-tile grid for the element type.
+//! walking the block's `MR×NR` register-tile grid of the variant and
+//! element type ([`KernelVariant::tile`]).
 //! Full tiles run the variant's vector kernel straight on `C`; tiles
 //! clipped by the `q % MR` / `q % NR` edges run the *same* vector kernel
 //! into a scratch `MR×NR` tile (the panels are zero-padded to full
@@ -16,17 +17,17 @@
 //! [`super::block_fma_with`] applied `k`-block by `k`-block.
 
 use super::elem::Element;
-use super::KernelVariant;
+use super::{KernelVariant, RegTile};
 
 /// `C += Apanel × Bpanel` for one row-major `q×q` block of `C`.
 ///
 /// `apack` is this block row's packed micro-panels (`⌈q/MR⌉·kc·MR`
-/// elements), `bpack` this block column's (`⌈q/NR⌉·kc·NR` elements), with
-/// `kc` the element depth of the current `k` panel. Accumulation per `C`
-/// element is ascending `k` with one multiply-accumulate per step: fused
-/// for SIMD variants, unfused for the scalar one. A variant the CPU
-/// cannot run degrades to the scalar kernel, as
-/// [`super::block_fma_with`] does.
+/// elements), `bpack` this block column's (`⌈q/NR⌉·kc·NR` elements), both
+/// packed for `v`, with `kc` the element depth of the current `k` panel.
+/// Accumulation per `C` element is ascending `k` with one
+/// multiply-accumulate per step: fused for SIMD variants, unfused for the
+/// scalar one. A variant the CPU cannot run degrades to the scalar
+/// kernel and its tile, as [`super::block_fma_with`] and the packing do.
 ///
 /// # Panics
 /// Panics (in debug builds) if the slice sizes disagree with `q`/`kc`.
@@ -38,20 +39,21 @@ pub fn block_mul_packed<T: Element>(
     apack: &[T],
     bpack: &[T],
 ) {
-    let (mr, nr) = (T::MR, T::NR);
+    let v = v.runnable();
+    let tile = v.tile::<T>();
+    let (mr, nr) = (tile.mr, tile.nr);
     let n_ip = q.div_ceil(mr);
     let n_jp = q.div_ceil(nr);
     debug_assert!(cblk.len() >= q * q);
     debug_assert!(apack.len() >= n_ip * kc * mr && bpack.len() >= n_jp * kc * nr);
-    let vector = v.is_simd() && v.is_available();
     // Scratch C tile for edge tiles on the vector path. The packed
     // panels are zero-padded to full `MR`/`NR`, so the full vector
     // kernel can run against this tile: pad lanes accumulate exact
     // zeros onto scratch values that are never copied back, while the
     // live `mrc×nrc` corner sees the identical fused ascending-`k`
-    // chain it would get from the scalar remainder. 96 elements is the
-    // largest tile of any element type (f32's 6×16).
-    let mut scratch = [T::ZERO; 96];
+    // chain it would get from the scalar remainder. 256 elements is the
+    // largest tile of any variant and element type (f32's 8×32).
+    let mut scratch = [T::ZERO; 256];
     debug_assert!(mr * nr <= scratch.len());
     for jp in 0..n_jp {
         let nrc = nr.min(q - jp * nr);
@@ -60,7 +62,7 @@ pub fn block_mul_packed<T: Element>(
             let mrc = mr.min(q - ip * mr);
             let ap = &apack[ip * kc * mr..][..kc * mr];
             let coff = ip * mr * q + jp * nr;
-            if !vector {
+            if !v.is_simd() {
                 micro_unfused(kc, ap, bp, &mut cblk[coff..], q, mrc, nrc);
                 continue;
             }
@@ -79,7 +81,7 @@ pub fn block_mul_packed<T: Element>(
                     continue;
                 }
             }
-            micro_edge_packed(kc, ap, bp, &mut cblk[coff..], q, mrc, nrc);
+            micro_edge_packed(kc, ap, bp, &mut cblk[coff..], q, tile, mrc, nrc);
         }
     }
 }
@@ -92,9 +94,10 @@ pub fn block_mul_packed<T: Element>(
 /// Rows go two at a time with full-width `NR` accumulators in a local
 /// array: `2·NR` accumulators fit the baseline target's sixteen vector
 /// registers, where the whole `MR×NR` tile would spill, and the
-/// fixed-size inner loop vectorizes. `MR` is even, so the second row
-/// always exists in the packed panel; pad rows and columns are zeros
-/// and are never copied back.
+/// fixed-size inner loop vectorizes. The panels are packed for the
+/// scalar variant's tile, [`RegTile::ymm`], whose `MR` is even, so the
+/// second row always exists in the packed panel; pad rows and columns
+/// are zeros and are never copied back.
 fn micro_unfused<T: Element>(
     kc: usize,
     ap: &[T],
@@ -104,7 +107,8 @@ fn micro_unfused<T: Element>(
     mr: usize,
     nr: usize,
 ) {
-    const { assert!(T::MR % 2 == 0 && T::NR <= 16) };
+    let RegTile { mr: tmr, nr: tnr } = RegTile::ymm::<T>();
+    const { assert!(RegTile::ymm::<T>().mr.is_multiple_of(2) && RegTile::ymm::<T>().nr <= 16) };
     for r0 in (0..mr).step_by(2) {
         let rows = (mr - r0).min(2);
         let mut acc = [[T::ZERO; 16]; 2];
@@ -112,9 +116,9 @@ fn micro_unfused<T: Element>(
             acc[r][..nr].copy_from_slice(&c[(r0 + r) * ldc..][..nr]);
         }
         for k in 0..kc {
-            let (a0, a1) = (ap[k * T::MR + r0], ap[k * T::MR + r0 + 1]);
-            let b = &bp[k * T::NR..][..T::NR];
-            for j in 0..T::NR {
+            let (a0, a1) = (ap[k * tmr + r0], ap[k * tmr + r0 + 1]);
+            let b = &bp[k * tnr..][..tnr];
+            for j in 0..tnr {
                 acc[0][j] = acc[0][j] + a0 * b[j];
                 acc[1][j] = acc[1][j] + a1 * b[j];
             }
@@ -129,12 +133,14 @@ fn micro_unfused<T: Element>(
 /// SIMD variant's `micro_full` declines: updates the `mr×nr` corner of
 /// the tile at `c` (row stride `ldc`), one fused `mul_add` per `k` step,
 /// ascending `k` — bit-identical to the vector lanes.
+#[allow(clippy::too_many_arguments)]
 fn micro_edge_packed<T: Element>(
     kc: usize,
     ap: &[T],
     bp: &[T],
     c: &mut [T],
     ldc: usize,
+    tile: RegTile,
     mr: usize,
     nr: usize,
 ) {
@@ -143,7 +149,7 @@ fn micro_edge_packed<T: Element>(
             let idx = r * ldc + j;
             let mut acc = c[idx];
             for k in 0..kc {
-                acc = ap[k * T::MR + r].mul_add(bp[k * T::NR + j], acc);
+                acc = ap[k * tile.mr + r].mul_add(bp[k * tile.nr + j], acc);
             }
             c[idx] = acc;
         }
@@ -170,8 +176,8 @@ mod tests {
 
                 let kc = kb as usize * q;
                 let (mut ap, mut bp) = (Vec::new(), Vec::new());
-                pack::pack_a_panel(&mut ap, &a, 0, 1, 0, kb);
-                pack::pack_b_panel(&mut bp, &b, 0, 1, 0, kb);
+                pack::pack_a_panel_for(v, &mut ap, &a, 0, 1, 0, kb);
+                pack::pack_b_panel_for(v, &mut bp, &b, 0, 1, 0, kb);
                 block_mul_packed(v, c_packed.block_mut(0, 0), q, kc, &ap, &bp);
 
                 for k in 0..kb {
@@ -196,8 +202,8 @@ mod tests {
 
                 let kc = kb as usize * q;
                 let (mut ap, mut bp) = (Vec::new(), Vec::new());
-                pack::pack_a_panel(&mut ap, &a, 0, 1, 0, kb);
-                pack::pack_b_panel(&mut bp, &b, 0, 1, 0, kb);
+                pack::pack_a_panel_for(v, &mut ap, &a, 0, 1, 0, kb);
+                pack::pack_b_panel_for(v, &mut bp, &b, 0, 1, 0, kb);
                 block_mul_packed(v, c_packed.block_mut(0, 0), q, kc, &ap, &bp);
 
                 for k in 0..kb {

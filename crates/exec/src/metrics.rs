@@ -23,26 +23,20 @@ use std::sync::{Arc, OnceLock};
 /// The `exec.flops.<variant>` counter for `variant`, cached after first
 /// lookup so the tile loop never touches the registry mutex.
 pub fn flops(variant: KernelVariant) -> &'static Counter {
-    static FLOPS: OnceLock<[Arc<Counter>; 3]> = OnceLock::new();
-    &FLOPS.get_or_init(|| {
-        [
-            global().counter("exec.flops.scalar"),
-            global().counter("exec.flops.avx2_fma"),
-            global().counter("exec.flops.neon"),
-        ]
-    })[variant_index(variant)]
+    static FLOPS: OnceLock<[Arc<Counter>; 4]> = OnceLock::new();
+    &FLOPS.get_or_init(|| per_variant("exec.flops"))[variant as usize]
 }
 
 /// The `exec.tiles.<variant>` counter for `variant`.
 pub fn tiles(variant: KernelVariant) -> &'static Counter {
-    static TILES: OnceLock<[Arc<Counter>; 3]> = OnceLock::new();
-    &TILES.get_or_init(|| {
-        [
-            global().counter("exec.tiles.scalar"),
-            global().counter("exec.tiles.avx2_fma"),
-            global().counter("exec.tiles.neon"),
-        ]
-    })[variant_index(variant)]
+    static TILES: OnceLock<[Arc<Counter>; 4]> = OnceLock::new();
+    &TILES.get_or_init(|| per_variant("exec.tiles"))[variant as usize]
+}
+
+/// One `<prefix>.<variant>` counter per variant, indexed by
+/// `variant as usize` ([`KernelVariant::ALL`] is in declaration order).
+fn per_variant(prefix: &str) -> [Arc<Counter>; 4] {
+    KernelVariant::ALL.map(|v| global().counter(&format!("{prefix}.{}", v.name())))
 }
 
 /// The `exec.flops.schedule` counter (exact schedule replay).
@@ -69,14 +63,6 @@ pub fn total_flops_snapshot() -> u64 {
         .sum()
 }
 
-fn variant_index(variant: KernelVariant) -> usize {
-    match variant {
-        KernelVariant::Scalar => 0,
-        KernelVariant::Avx2Fma => 1,
-        KernelVariant::Neon => 2,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +74,18 @@ mod tests {
         assert_eq!(flops(KernelVariant::Scalar).get(), before + 10);
         // The cached Arc and a fresh registry lookup see the same metric.
         assert_eq!(global().counter("exec.flops.scalar").get(), before + 10);
+    }
+
+    #[test]
+    fn every_variant_has_its_named_counters() {
+        for (i, v) in KernelVariant::ALL.into_iter().enumerate() {
+            assert_eq!(v as usize, i, "ALL must list variants in declaration order");
+            let name = v.name();
+            let (f, t) = (flops(v).get(), tiles(v).get());
+            flops(v).add(3);
+            tiles(v).add(1);
+            assert_eq!(global().counter(&format!("exec.flops.{name}")).get(), f + 3);
+            assert_eq!(global().counter(&format!("exec.tiles.{name}")).get(), t + 1);
+        }
     }
 }

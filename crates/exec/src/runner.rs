@@ -173,8 +173,9 @@ impl Tiling {
 /// plan, and whether a job may cancel it.
 #[derive(Clone, Copy, Debug)]
 pub struct GemmOpts<'a> {
-    /// Micro-kernel variant. A variant the CPU cannot run degrades to
-    /// the scalar kernel, as [`kernel::block_fma_with`] does.
+    /// Micro-kernel variant; it also fixes the register tile the panels
+    /// are packed for. A variant the CPU cannot run degrades to the
+    /// scalar kernel and tile, as [`kernel::block_fma_with`] does.
     pub variant: KernelVariant,
     /// `MC`/`KC`/`NC` of the 5-loop macro-kernel. Results are
     /// bit-identical across plans for a given variant.
@@ -185,8 +186,8 @@ pub struct GemmOpts<'a> {
 }
 
 impl GemmOpts<'_> {
-    /// The dispatched kernel variant under the active blocking plan for
-    /// `T`, with no cancel token.
+    /// The dispatched kernel variant under its active blocking plan for
+    /// `T` ([`blocking::active_plan`]), with no cancel token.
     pub fn dispatched<T: Element>() -> GemmOpts<'static> {
         GemmOpts { variant: kernel::variant(), plan: blocking::active_plan::<T>(), cancel: None }
     }
@@ -440,7 +441,7 @@ fn run_tile_packed<T: Element>(
     (i0, th, j0, tw): (u32, u32, u32, u32),
     job: u64,
 ) {
-    let (plan, z) = (opts.plan, a.cols());
+    let (plan, v, z) = (opts.plan, opts.variant, a.cols());
     let q = a.q();
     let q2 = q * q;
     let ncols = b.cols() as usize;
@@ -463,9 +464,9 @@ fn run_tile_packed<T: Element>(
                 let kb = kc_b.min(z - k0);
                 let kc = kb as usize * q;
                 let pc_start = if tracing { span::now_ns() } else { 0 };
-                kernel::pack::pack_b_panel(&mut arena.b, b, j0 + jc, jw, k0, kb);
-                let a_stride = kernel::pack::a_panel_stride::<T>(q, kc);
-                let b_stride = kernel::pack::b_panel_stride::<T>(q, kc);
+                kernel::pack::pack_b_panel_for(v, &mut arena.b, b, j0 + jc, jw, k0, kb);
+                let a_stride = kernel::pack::a_panel_stride::<T>(v, q, kc);
+                let b_stride = kernel::pack::b_panel_stride::<T>(v, q, kc);
                 if tracing {
                     // pred = logical panel bytes, val = padded packed
                     // bytes actually written (stride includes edge pad).
@@ -485,7 +486,7 @@ fn run_tile_packed<T: Element>(
                 while ic < th {
                     let ih = mc_b.min(th - ic);
                     let pack_a_start = if tracing { span::now_ns() } else { 0 };
-                    kernel::pack::pack_a_panel(&mut arena.a, a, i0 + ic, ih, k0, kb);
+                    kernel::pack::pack_a_panel_for(v, &mut arena.a, a, i0 + ic, ih, k0, kb);
                     if tracing {
                         span::emit(
                             job,
@@ -507,14 +508,7 @@ fn run_tile_packed<T: Element>(
                             // j0+jc+bj) is owned by this unit.
                             let cblk =
                                 unsafe { c_block_mut(cptr, ncols, q2, i0 + ic + bi, j0 + jc + bj) };
-                            kernel::packed::block_mul_packed(
-                                opts.variant,
-                                cblk,
-                                q,
-                                kc,
-                                apack,
-                                bpack,
-                            );
+                            kernel::packed::block_mul_packed(v, cblk, q, kc, apack, bpack);
                         }
                     }
                     if tracing {

@@ -149,13 +149,16 @@ pub fn cpu_ghz_estimate() -> f64 {
 }
 
 /// FLOPs per cycle per core for a kernel variant name, used when sizing
-/// the flat roof: 16 for 4-wide FMA f64 (`avx2_fma`), 4 for 2-wide NEON
+/// the flat roof: 16 for 4-wide FMA f64 on two FMA units (`avx2_fma`),
+/// 32 for 8-wide FMA f64 on two units (`avx512_fma`), 4 for 2-wide NEON
 /// FMA, 2 for scalar mul+add; f32 variants (`*_f32`) double the lane
 /// count and therefore the roof.
 pub fn flops_per_cycle_for_kernel(kernel: &str) -> f64 {
     match kernel {
         "avx2_fma" => 16.0,
         "avx2_fma_f32" => 32.0,
+        "avx512_fma" => 32.0,
+        "avx512_fma_f32" => 64.0,
         "neon" => 4.0,
         "neon_f32" => 8.0,
         _ => 2.0,
@@ -228,6 +231,8 @@ mod tests {
     #[test]
     fn f32_variants_double_the_roof() {
         assert_eq!(flops_per_cycle_for_kernel("avx2_fma_f32"), 32.0);
+        assert_eq!(flops_per_cycle_for_kernel("avx512_fma"), 32.0);
+        assert_eq!(flops_per_cycle_for_kernel("avx512_fma_f32"), 64.0);
         assert_eq!(flops_per_cycle_for_kernel("neon_f32"), 8.0);
         assert_eq!(flops_per_cycle_for_kernel("scalar"), 2.0);
         assert_eq!(flops_per_cycle_for_kernel("scalar_f32"), 2.0);

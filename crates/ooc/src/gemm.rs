@@ -387,8 +387,11 @@ fn ooc_multiply_inner(
     let mut c_buf: Vec<f64> = Vec::new();
     let mut consumed = 0usize;
 
-    let gemm_opts =
-        GemmOpts { variant: opts.variant, plan: blocking::active_plan::<f64>(), cancel };
+    let gemm_opts = GemmOpts {
+        variant: opts.variant,
+        plan: blocking::active_plan_for::<f64>(opts.variant),
+        cancel,
+    };
     let mut cancelled = false;
     'tiles: for i0 in (0..m).step_by(alpha as usize) {
         let th = alpha.min(m - i0);

@@ -35,6 +35,7 @@ use std::process::exit;
 use std::time::Instant;
 
 fn usage() -> ! {
+    let kernels = multicore_matmul::exec::kernel::VARIANT_NAMES;
     eprintln!(
         "usage:\n  mmc simulate --algo A --order N [--preset P] [--setting ideal|lru|lru2|lru50] [--json]\n  \
            mmc plan [--preset P] [--order N] [--sigma-s X --sigma-d Y]\n  \
@@ -53,8 +54,8 @@ fn usage() -> ! {
          presets: q32 q32p q64 q64p q80 q80p;\n\
          algorithms: shared_opt distributed_opt tradeoff outer_product shared_equal distributed_equal cache_oblivious;\n\
          tilings (exec): shared_opt distributed_opt tradeoff equal; (lu): row_stripes shared_opt tradeoff;\n\
-         granularities (trace): auto events steps; kernels (ooc): auto scalar avx2 neon;\n\
-         env: MMC_KERNEL=scalar|avx2|neon|auto forces the exec micro-kernel variant;\n\
+         granularities (trace): auto events steps;\n\
+         kernels (--kernel K, env MMC_KERNEL=K forces the exec micro-kernel variant): {kernels};\n\
          env: MMC_BLOCKING=mc,kc,nc (elements) pins the 5-loop macro-kernel blocking (default: derived from host caches);\n\
          env: MMC_SPANS=off disables the always-on span recorder; MMC_SPAN_RING=N sets its per-thread ring capacity"
     );
@@ -280,7 +281,7 @@ struct ExecReport {
     order: u32,
     q: usize,
     tiling: String,
-    /// Dispatched micro-kernel variant (`scalar`, `avx2_fma`, `neon`).
+    /// Dispatched micro-kernel variant (`scalar`, `avx2_fma`, `avx512_fma`, `neon`).
     kernel: String,
     /// Active 5-loop blocking plan (`mc=.. kc=.. nc=..`, elements) —
     /// analytic from the host caches unless pinned via `MMC_BLOCKING`.
@@ -674,7 +675,7 @@ fn cmd_counters(flags: HashMap<String, String>) {
     // actually run, converted to whole-block loop steps exactly as the
     // packed path does, fed to the closed-form traffic count (modeled at
     // whole-problem granularity, i.e. one C tile).
-    let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
+    let plan = multicore_matmul::exec::blocking::active_plan_for::<f64>(variant);
     let fiveloop = five_loop_traffic(
         order as u64,
         order as u64,
@@ -1017,13 +1018,10 @@ fn budget_flag(flags: &HashMap<String, String>, key: &str, default: Option<u64>)
 fn kernel_flag(flags: &HashMap<String, String>) -> KernelVariant {
     let v = match flags.get("kernel").map(String::as_str).unwrap_or("auto") {
         "auto" => multicore_matmul::exec::kernel::variant(),
-        "scalar" => KernelVariant::Scalar,
-        "avx2" | "avx2_fma" => KernelVariant::Avx2Fma,
-        "neon" => KernelVariant::Neon,
-        other => {
-            eprintln!("unknown kernel {other:?}");
+        name => KernelVariant::from_name(name).unwrap_or_else(|| {
+            eprintln!("unknown kernel {name:?}");
             usage();
-        }
+        }),
     };
     if !v.is_available() {
         eprintln!("error: kernel {} is not available on this CPU", v.name());
@@ -1241,7 +1239,7 @@ fn cmd_drift(flags: HashMap<String, String>) {
     let a = BlockMatrix::pseudo_random(order, order, q, seed);
     let b = BlockMatrix::pseudo_random(order, order, q, seed + 1);
     let tiling = Tiling { tile_m: order, tile_n: order, tile_k: 1 };
-    let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
+    let plan = multicore_matmul::exec::blocking::active_plan_for::<f64>(variant);
     let (_c, run) = run_traced(&a, &b, tiling, variant, plan);
     let model = ExecModel::for_run(&a, &b, tiling, variant);
     let exec_report = exec_drift(&run, &model, band);

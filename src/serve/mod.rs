@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use crate::exec::kernel::variants_available;
+use crate::exec::kernel;
 use crate::exec::{
     blocking, exec_drift, gemm_into, BlockMatrix, CancelToken, ExecModel, GemmOpts, KernelVariant,
     TracedRun,
@@ -83,11 +83,13 @@ pub fn checksum_f64(data: &[f64]) -> u64 {
     h
 }
 
-/// The kernel variant the server runs everything with: the best one the
-/// host supports. Exposed so tests can reproduce results bit-exactly
-/// through the direct APIs.
+/// The kernel variant the server runs everything with: the process's
+/// dispatched variant ([`kernel::variant`], which honours `MMC_KERNEL`),
+/// so served jobs run, and count their FLOPs under, the same variant as
+/// every other entry point. Exposed so tests can reproduce results
+/// bit-exactly through the direct APIs.
 pub fn serve_variant() -> KernelVariant {
-    variants_available().pop().unwrap_or(KernelVariant::Scalar)
+    kernel::variant()
 }
 
 struct Shared {
@@ -574,5 +576,6 @@ mod tests {
     #[test]
     fn serve_variant_is_available_on_this_host() {
         assert!(serve_variant().is_available());
+        assert_eq!(serve_variant(), kernel::variant());
     }
 }

@@ -1,9 +1,11 @@
 //! Property tests for the micro-kernel subsystem: every dispatchable
 //! variant agrees with the plain reference kernel on random blocks, and
 //! the executor paths (naive oracle, schedule replayer, parallel packed
-//! path) stay *bit-identical* to each other under the dispatched kernel.
+//! path) stay *bit-identical* to each other under the dispatched kernel,
+//! and the ZMM and YMM variants are bit-identical to each other.
 
 use multicore_matmul::exec::kernel::{self, block_fma_reference, block_fma_with};
+use multicore_matmul::exec::Element;
 use multicore_matmul::prelude::*;
 use proptest::prelude::*;
 
@@ -128,5 +130,110 @@ fn forced_variants_agree_with_oracle() {
             "variant {v}: max diff {}",
             got.max_abs_diff(&want)
         );
+    }
+}
+
+/// Whether both fused x86 variants run on this host; prints the skip
+/// note (once) when they do not.
+fn zmm_and_ymm() -> bool {
+    let both = KernelVariant::Avx512Fma.is_available() && KernelVariant::Avx2Fma.is_available();
+    if !both {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        NOTE.call_once(|| {
+            eprintln!("skipping: the cross-variant suite needs AVX-512F and AVX2+FMA")
+        });
+    }
+    both
+}
+
+/// Block sides divisible by neither 8 nor 16, so both register tiles
+/// (6×8 / 8×16 for f64, 6×16 / 8×32 for f32) leave partial tiles.
+fn ragged_side() -> impl Strategy<Value = usize> {
+    (1usize..48).prop_map(|q| if q % 8 == 0 { q + 1 } else { q })
+}
+
+/// A random 5-loop plan, from finer than one block to whole-problem
+/// panels.
+fn any_plan() -> impl Strategy<Value = BlockingPlan> {
+    (1usize..400, 1usize..400, 1usize..800).prop_map(|(mc, kc, nc)| BlockingPlan { mc, kc, nc })
+}
+
+/// `gemm_into` under `avx512_fma` and under `avx2_fma`, each with its own
+/// plan, from the same non-zero starting `C`.
+fn zmm_vs_ymm<T: Element>(
+    q: usize,
+    (m, n, z): (u32, u32, u32),
+    tiling: Tiling,
+    plans: [BlockingPlan; 2],
+    seed: u64,
+) -> [BlockMatrixOf<T>; 2] {
+    let a = BlockMatrixOf::<T>::pseudo_random(m, z, q, seed);
+    let b = BlockMatrixOf::<T>::pseudo_random(z, n, q, seed ^ 0x5A5A);
+    let c0 = BlockMatrixOf::<T>::pseudo_random(m, n, q, seed.wrapping_add(7));
+    let variants = [KernelVariant::Avx512Fma, KernelVariant::Avx2Fma];
+    std::array::from_fn(|i| {
+        let mut c = c0.clone();
+        let opts = GemmOpts { variant: variants[i], plan: plans[i], cancel: None };
+        assert!(gemm_into(&mut c, &a, &b, tiling, &opts));
+        c
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused SIMD variants differ only in which `C` elements share a
+    /// register, never in an element's fused ascending-`k` chain, so the
+    /// ZMM and YMM f64 products are bit-identical under any plans.
+    #[test]
+    fn zmm_and_ymm_f64_products_are_bit_identical(
+        q in ragged_side(),
+        dims in (1u32..4, 1u32..4, 1u32..5),
+        tile in (1u32..4, 1u32..4),
+        plan_zmm in any_plan(),
+        plan_ymm in any_plan(),
+        seed in any::<u64>(),
+    ) {
+        if !zmm_and_ymm() {
+            return Ok(());
+        }
+        let tiling = Tiling { tile_m: tile.0, tile_n: tile.1, tile_k: 1 };
+        let [zmm, ymm] = zmm_vs_ymm::<f64>(q, dims, tiling, [plan_zmm, plan_ymm], seed);
+        prop_assert!(zmm == ymm, "q={q} dims={dims:?} plans {plan_zmm} / {plan_ymm}");
+    }
+
+    /// The same bit identity for f32 (8×32 against 6×16 tiles).
+    #[test]
+    fn zmm_and_ymm_f32_products_are_bit_identical(
+        q in ragged_side(),
+        dims in (1u32..4, 1u32..4, 1u32..5),
+        tile in (1u32..4, 1u32..4),
+        plan_zmm in any_plan(),
+        plan_ymm in any_plan(),
+        seed in any::<u64>(),
+    ) {
+        if !zmm_and_ymm() {
+            return Ok(());
+        }
+        let tiling = Tiling { tile_m: tile.0, tile_n: tile.1, tile_k: 1 };
+        let [zmm, ymm] = zmm_vs_ymm::<f32>(q, dims, tiling, [plan_zmm, plan_ymm], seed);
+        prop_assert!(zmm == ymm, "q={q} dims={dims:?} plans {plan_zmm} / {plan_ymm}");
+    }
+
+    /// The unpacked block kernels (`block_fma`, behind `gemm_naive` and
+    /// the schedule replayer) agree bit for bit across the two as well.
+    #[test]
+    fn zmm_and_ymm_block_kernels_are_bit_identical(q in ragged_side(), seed in any::<u64>()) {
+            if !zmm_and_ymm() {
+            return Ok(());
+        }
+        let a = BlockMatrix::pseudo_random(1, 1, q, seed);
+        let b = BlockMatrix::pseudo_random(1, 1, q, seed ^ 0xA5A5);
+        let c0 = BlockMatrix::pseudo_random(1, 1, q, seed.wrapping_add(1));
+        let mut zmm = c0.block(0, 0).to_vec();
+        let mut ymm = zmm.clone();
+        block_fma_with(KernelVariant::Avx512Fma, &mut zmm, a.block(0, 0), b.block(0, 0), q);
+        block_fma_with(KernelVariant::Avx2Fma, &mut ymm, a.block(0, 0), b.block(0, 0), q);
+        prop_assert_eq!(zmm, ymm, "q={}", q);
     }
 }
