@@ -71,7 +71,7 @@ fn roofline_point(
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let peak = mmc_obs::peak_gflops_estimate(
         threads,
-        mmc_obs::cpu_ghz_estimate(),
+        mmc_obs::host_roofs().ghz,
         mmc_obs::flops_per_cycle_for_kernel(kernel_name),
     );
     RooflineRecord::from_measurements(
@@ -156,7 +156,7 @@ fn main() {
     let kflops = 2.0 * (korder as f64 * kq as f64).powi(3);
     let mut roofline = Vec::new();
     let mut drift_reports = Vec::new();
-    let bandwidth_gbs = mmc_obs::stream_triad_bandwidth_gbs();
+    let bandwidth_gbs = mmc_obs::host_roofs().stream_gbs;
     if let Some(tiling) = Tiling::tradeoff(&machine) {
         for v in kernel::variants_available() {
             // The 5-loop plan this variant runs under (its register tile

@@ -15,6 +15,13 @@
 //!   the kernel's roofline peak, pack phases against the five-loop
 //!   traffic terms `m·z·⌈n/NC⌉` (A repacked per `jc` pass) and `z·n`
 //!   (B packed once), priced at measured STREAM bandwidth.
+//!
+//! [`ExecModel::for_run`] prices every run at the host's rates from
+//! [`mmc_obs::host_roofs`], which measures STREAM bandwidth and the clock
+//! once per process. Building a model is therefore cheap after the first
+//! one, and a server that builds one per job (`mmc serve`) pays for the
+//! measurement only at start-up. Every run in a process is priced at the
+//! same roofs, so drift ratios of different runs compare directly.
 
 use crate::blocking::BlockingPlan;
 use crate::kernel::elem::Element;
@@ -143,7 +150,8 @@ pub struct ExecModel {
 
 impl ExecModel {
     /// Build the model for a run: problem shape from the operand grid,
-    /// roofs from the roofline module's estimates.
+    /// roofs from the process's one host measurement
+    /// ([`mmc_obs::host_roofs`]).
     pub fn for_run<T: Element>(
         a: &BlockMatrixOf<T>,
         b: &BlockMatrixOf<T>,
@@ -155,6 +163,7 @@ impl ExecModel {
         } else {
             variant.name().to_string()
         };
+        let roofs = mmc_obs::host_roofs();
         ExecModel {
             m: a.rows(),
             n: b.cols(),
@@ -165,10 +174,10 @@ impl ExecModel {
             threads: rayon::current_num_threads(),
             peak_gflops: mmc_obs::peak_gflops_estimate(
                 1,
-                mmc_obs::cpu_ghz_estimate(),
+                roofs.ghz,
                 mmc_obs::flops_per_cycle_for_kernel(&kernel_name),
             ),
-            stream_gbs: mmc_obs::stream_triad_bandwidth_gbs(),
+            stream_gbs: roofs.stream_gbs,
         }
     }
 

@@ -13,7 +13,8 @@
 //!   around any GEMM run and degrades gracefully to a
 //!   `counters: "unavailable"` marker when the PMU or permissions are
 //!   missing.
-//! * [`roofline`] — measured STREAM-triad bandwidth plus derived
+//! * [`roofline`] — the host's measured rates ([`host_roofs`]: STREAM-triad
+//!   bandwidth and clock, measured once per process) plus derived
 //!   arithmetic-intensity / percent-of-peak records for
 //!   `BENCH_exec.json`.
 //! * [`span`] — per-job span tracing: lock-free per-thread ring-buffer
@@ -43,8 +44,8 @@ pub use registry::{
     HistogramSnapshot, Registry, RegistrySnapshot,
 };
 pub use roofline::{
-    cpu_ghz_estimate, flops_per_cycle_for_kernel, peak_gflops_estimate, roofline_bound,
-    stream_triad_bandwidth_gbs, RooflineRecord,
+    flops_per_cycle_for_kernel, host_roofs, peak_gflops_estimate, roofline_bound, HostRoofs,
+    RooflineRecord,
 };
 pub use span::{SpanKind, SpanRecord, ThreadRing};
 

@@ -7,8 +7,13 @@
 //! estimated from measured clock rate and the kernel's issue width;
 //! bandwidth is measured directly with a STREAM-triad style sweep over
 //! an array far larger than any cache on the paper's machines.
+//!
+//! Both rates belong to the machine, not to a run, so [`host_roofs`]
+//! measures them once per process and every consumer (drift models,
+//! roofline records, the serve daemon) reads that one measurement.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One roofline point for a named kernel run.
@@ -92,10 +97,36 @@ pub fn roofline_bound(intensity: f64, bandwidth_gbs: f64, peak_gflops: f64) -> f
     (intensity * bandwidth_gbs).min(peak_gflops)
 }
 
+/// The host's measured rates: the roofs every prediction is priced at.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct HostRoofs {
+    /// Sustained memory bandwidth, GB/s, from a STREAM-triad sweep.
+    pub stream_gbs: f64,
+    /// CPU clock, GHz, from `/proc/cpuinfo` (3.0 when it is missing).
+    pub ghz: f64,
+}
+
+/// Registry counter bumped each time [`host_roofs`] measures the host;
+/// it reads at most 1 in any process.
+pub const HOST_MEASUREMENTS_COUNTER: &str = "obs.host_roofs.measurements";
+
+/// The host's rates, measured on the first call and cached for the rest
+/// of the process: the STREAM sweep streams 12 MiB six times, which takes
+/// longer than a small product, so no run should pay for it again. This
+/// is the one source of the rates; a stored machine profile would fill
+/// it in place of the measurement.
+pub fn host_roofs() -> HostRoofs {
+    static ROOFS: OnceLock<HostRoofs> = OnceLock::new();
+    *ROOFS.get_or_init(|| {
+        crate::registry::global().counter(HOST_MEASUREMENTS_COUNTER).add(1);
+        HostRoofs { stream_gbs: stream_triad_bandwidth_gbs(), ghz: cpu_ghz_estimate() }
+    })
+}
+
 /// Measure sustained memory bandwidth with a STREAM-triad kernel
 /// (`a[i] = b[i] + s * c[i]`, 3 × 8 bytes moved per element) over arrays
 /// too large for any cache level, returning the best-of-`passes` GB/s.
-pub fn stream_triad_bandwidth_gbs() -> f64 {
+fn stream_triad_bandwidth_gbs() -> f64 {
     const N: usize = 1 << 19; // 3 arrays × 4 MiB: beyond the paper's largest L2/L3.
     const PASSES: usize = 5;
     let b = vec![1.0f64; N];
@@ -135,7 +166,7 @@ pub fn peak_gflops_estimate(threads: usize, ghz: f64, flops_per_cycle: f64) -> f
 /// fallback is a nominal desktop clock, close to the 2.66/2.93 GHz
 /// parts in the paper's evaluation, and only sizes the flat roof — the
 /// record carries the measured GFLOP/s either way.
-pub fn cpu_ghz_estimate() -> f64 {
+fn cpu_ghz_estimate() -> f64 {
     std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|text| {
@@ -220,6 +251,14 @@ mod tests {
     fn bandwidth_measurement_is_positive() {
         let bw = stream_triad_bandwidth_gbs();
         assert!(bw > 0.0, "triad bandwidth must be positive, got {bw}");
+    }
+
+    #[test]
+    fn host_roofs_measure_once_per_process() {
+        let first = host_roofs();
+        assert_eq!(host_roofs(), first);
+        let measured = crate::registry::global().snapshot().counter(HOST_MEASUREMENTS_COUNTER);
+        assert_eq!(measured, Some(1));
     }
 
     #[test]

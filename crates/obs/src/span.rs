@@ -25,10 +25,13 @@
 //!   instead of reporting a frankenspan.
 //! * **Drained on demand.** [`collect_job`] snapshots every registered
 //!   ring without consuming, which is safe precisely because job ids are
-//!   process-unique: stale spans from other jobs filter out, and rings
-//!   recycle themselves by overwriting. [`drain`] is the consuming sweep
-//!   (per-ring watermark) for scraper-style consumers such as the future
-//!   `mmc serve` flight recorder. Neither ever blocks a writer.
+//!   process-unique: stale spans from other jobs are skipped on their job
+//!   word alone, and rings recycle themselves by overwriting. [`drain`]
+//!   is the consuming sweep (per-ring watermark) for scraper-style
+//!   consumers such as the future `mmc serve` flight recorder. Neither
+//!   ever blocks a writer, and both copy the ring list and scan outside
+//!   the registration mutex, so a collection never holds up a new thread
+//!   adopting its ring.
 //! * **Per-job context.** The `TraceContext` is a process-global id
 //!   allocator plus a *thread-local* current job: [`new_job`] allocates
 //!   a process-unique id and makes it current on the calling thread,
@@ -295,19 +298,36 @@ impl ThreadRing {
         SpanRecord::decode(&words)
     }
 
+    /// Indices of the spans still live in the ring (the most recent
+    /// `capacity`).
+    fn live(&self) -> std::ops::Range<u64> {
+        let head = self.head.load(Ordering::Acquire);
+        head.saturating_sub(self.slots.len() as u64)..head
+    }
+
     /// Snapshot every live span (at most the most recent `capacity`)
     /// without consuming. Safe from any thread, concurrently with the
     /// writer; spans overwritten mid-scan are skipped, never torn.
     pub fn scan(&self) -> Vec<SpanRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let lo = head.saturating_sub(self.slots.len() as u64);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for i in lo..head {
-            if let Some(rec) = self.read(i) {
+        self.live().filter_map(|i| self.read(i)).collect()
+    }
+
+    /// Append every live span stamped with `job` to `out`, without
+    /// consuming. A slot whose job word differs is skipped after one
+    /// load, never decoded; a matching slot gets the full seqlock read,
+    /// so the tearing guarantees of [`ThreadRing::scan`] hold.
+    pub fn scan_job(&self, job: u64, out: &mut Vec<SpanRecord>) {
+        for i in self.live() {
+            let slot = &self.slots[(i % self.slots.len() as u64) as usize];
+            if slot.words[0].load(Ordering::Relaxed) != job {
+                continue;
+            }
+            // The pre-check is a plain load outside the seqlock; only the
+            // validated read decides.
+            if let Some(rec) = self.read(i).filter(|r| r.job == job) {
                 out.push(rec);
             }
         }
-        out
     }
 
     /// Drain every span not yet consumed (at most the most recent
@@ -345,6 +365,12 @@ fn lock_rings() -> std::sync::MutexGuard<'static, Rings> {
     // Every update is a single push or pop, so a poisoned list is still
     // valid; and `LocalRing::drop` must not panic.
     RINGS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A snapshot of every registered ring, so readers scan without holding
+/// the registration mutex that new threads need to adopt a ring.
+fn registered_rings() -> Vec<Arc<ThreadRing>> {
+    lock_rings().all.clone()
 }
 
 /// The calling thread's ring: a recycled one if some thread has exited,
@@ -476,8 +502,8 @@ fn sort_spans(spans: &mut [SpanRecord]) {
 /// collection idempotent, and rings recycle by overwriting.
 pub fn collect_job(job: u64) -> Vec<SpanRecord> {
     let mut out = Vec::new();
-    for ring in &lock_rings().all {
-        out.extend(ring.scan().into_iter().filter(|r| r.job == job));
+    for ring in registered_rings() {
+        ring.scan_job(job, &mut out);
     }
     sort_spans(&mut out);
     out
@@ -485,10 +511,11 @@ pub fn collect_job(job: u64) -> Vec<SpanRecord> {
 
 /// Consuming sweep of every ring (per-ring watermark), sorted by start
 /// time — the scraper-style drain for flight-recorder consumers. Cold
-/// path: takes the registration mutex, never blocks writers.
+/// path: never blocks writers, and holds the registration mutex only to
+/// snapshot the ring list.
 pub fn drain() -> Vec<SpanRecord> {
     let mut out = Vec::new();
-    for ring in &lock_rings().all {
+    for ring in registered_rings() {
         out.extend(ring.collect_new());
     }
     sort_spans(&mut out);
@@ -573,6 +600,49 @@ mod tests {
         // Non-consuming: both jobs still fully visible.
         assert_eq!(collect_job(job_b), b);
         assert_eq!(collect_job(job_a).len(), 1);
+    }
+
+    #[test]
+    fn collect_job_returns_interleaved_jobs_from_several_rings_exactly() {
+        let _g = global_lock();
+        let (job_a, job_b) = (new_job(), new_job());
+        // Three threads alive at once (so three distinct rings), each
+        // emitting the two jobs' spans interleaved.
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for t in 0..3u32 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..40u32 {
+                        let job = if i % 2 == 0 { job_a } else { job_b };
+                        let at = 1_000 * u64::from(i) + u64::from(t);
+                        emit(job, SpanKind::PackB, Some(t), at, 1, 2, 3, [t, i, 0, 0]);
+                    }
+                    start.wait();
+                });
+            }
+        });
+        let expect = |parity: u32| -> Vec<SpanRecord> {
+            let job = if parity == 0 { job_a } else { job_b };
+            let mut v: Vec<SpanRecord> = (0..3u32)
+                .flat_map(|t| (0..40u32).filter(move |i| i % 2 == parity).map(move |i| (t, i)))
+                .map(|(t, i)| SpanRecord {
+                    job,
+                    kind: SpanKind::PackB,
+                    thread: Some(t),
+                    start_ns: 1_000 * u64::from(i) + u64::from(t),
+                    dur_ns: 1,
+                    pred: 2,
+                    val: 3,
+                    args: [t, i, 0, 0],
+                })
+                .collect();
+            sort_spans(&mut v);
+            v
+        };
+        assert_eq!(collect_job(job_a), expect(0));
+        assert_eq!(collect_job(job_b), expect(1));
     }
 
     #[test]

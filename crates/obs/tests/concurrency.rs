@@ -123,9 +123,10 @@ proptest! {
     }
 
     /// One writer overwriting a small ring while reader threads scan it
-    /// continuously: no scan ever returns a torn record, and a quiescent
-    /// scan afterwards returns exactly the most recent `capacity` spans
-    /// in push order.
+    /// continuously: no scan ever returns a torn record (nor, for a
+    /// job-filtered scan, another job's record), and a quiescent scan
+    /// afterwards returns exactly the most recent `capacity` spans in
+    /// push order.
     #[test]
     fn ring_scans_never_tear_under_concurrent_overwrite(
         capacity in 1usize..64,
@@ -140,10 +141,19 @@ proptest! {
                 let s = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut seen = 0usize;
+                    let mut hits = Vec::new();
                     while !s.load(std::sync::atomic::Ordering::Acquire) {
                         for rec in r.scan() {
                             assert_coded(&rec);
                             seen += 1;
+                        }
+                        // `coded(i)` is job `i`: ask for one that lives
+                        // in the ring for a while, then is overwritten.
+                        hits.clear();
+                        r.scan_job(pushes / 2, &mut hits);
+                        for rec in &hits {
+                            assert_coded(rec);
+                            assert_eq!(rec.job, pushes / 2);
                         }
                     }
                     seen
@@ -167,6 +177,9 @@ proptest! {
             prop_assert_eq!(rec.job, expect_lo + offset as u64);
         }
         prop_assert_eq!(ring.head(), pushes);
+        let mut newest = Vec::new();
+        ring.scan_job(pushes - 1, &mut newest);
+        prop_assert_eq!(newest, vec![coded(pushes - 1)]);
     }
 
     /// The consuming sweep never double-reports and never skips a span

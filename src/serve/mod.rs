@@ -69,18 +69,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// FNV-1a over the little-endian bit patterns of `data` — bit-identity
-/// evidence a client can verify against a direct-API run without
-/// shipping the matrix.
+/// FNV-1a folded one 64-bit word at a time over the bit patterns of
+/// `data` (`h = (h ^ bits) · prime`, 64-bit offset basis and prime) —
+/// bit-identity evidence a client can verify against a direct-API run
+/// without shipping the matrix. Bit patterns, not values: `0.0` and
+/// `-0.0` differ.
 pub fn checksum_f64(data: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    data.iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The kernel variant the server runs everything with: the process's
@@ -115,8 +111,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the accept loop and the dispatcher, and return.
+    /// Measure the host ([`crate::obs::host_roofs`]), bind, spawn the
+    /// accept loop and the dispatcher, and return. Measuring here, once,
+    /// keeps the STREAM sweep out of every job's drift pricing.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
+        crate::obs::host_roofs();
         let listener =
             TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable bind address")
@@ -571,6 +570,18 @@ mod tests {
         assert_eq!(checksum_f64(&a), checksum_f64(&a));
         assert_ne!(checksum_f64(&a), checksum_f64(&b));
         assert_ne!(checksum_f64(&[0.0]), checksum_f64(&[-0.0]), "bit patterns, not values");
+    }
+
+    #[test]
+    fn checksum_is_word_wise_fnv1a() {
+        let data = [1.0f64, -0.0, f64::MIN_POSITIVE, 3.5e300, -2.25, f64::NAN];
+        let mut want = 0xcbf2_9ce4_8422_2325_u64;
+        for v in data {
+            want ^= v.to_bits();
+            want = want.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(checksum_f64(&data), want);
+        assert_eq!(checksum_f64(&[]), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

@@ -213,6 +213,62 @@ fn concurrent_jobs_pack_within_budget_and_match_direct_apis() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The host's rates are measured once per process, when the server
+/// starts, and never again by a served job; each classic job's report
+/// still carries all six exec drift phases, priced from that one
+/// measurement, with finite ratios.
+#[test]
+fn served_jobs_share_one_host_measurement() {
+    let measurements = || {
+        multicore_matmul::obs::global()
+            .snapshot()
+            .counter(multicore_matmul::obs::roofline::HOST_MEASUREMENTS_COUNTER)
+    };
+    let server = Server::start(ServeConfig::default()).unwrap();
+    assert_eq!(measurements(), Some(1), "Server::start measures the host");
+    let mut client = Client::connect(server.local_addr());
+
+    let ids: Vec<u64> = (0..5)
+        .map(|i| {
+            let spec = MemJobSpec {
+                m: 3 + i as u32,
+                n: 4,
+                z: 5,
+                q: 16,
+                seed_a: 40 + i,
+                seed_b: 50 + i,
+                algo: "classic".into(),
+            };
+            u64_of(&submit_mem(&mut client, &spec), "job_id")
+        })
+        .collect();
+    for id in ids {
+        let resp = wait_job(&mut client, id);
+        assert_eq!(str_of(&resp, "state"), "done", "job {id}: {resp:?}");
+        if !multicore_matmul::obs::span::enabled() {
+            continue;
+        }
+        let phases = resp
+            .get("report")
+            .and_then(|r| r.get("drift"))
+            .and_then(|d| d.get("phases"))
+            .and_then(Value::as_array)
+            .unwrap_or_else(|| panic!("job {id} carries exec drift phases: {resp:?}"));
+        let names: Vec<&str> = phases.iter().map(|p| str_of(p, "phase")).collect();
+        assert_eq!(names, ["tile", "jc", "pc", "ic", "pack_a", "pack_b"], "job {id}");
+        for p in phases {
+            for key in ["ratio", "units_ratio"] {
+                let r = p.get(key).and_then(Value::as_f64);
+                assert!(r.is_some_and(f64::is_finite), "job {id} {key}: {p:?}");
+            }
+        }
+    }
+    assert_eq!(measurements(), Some(1), "no served job measured the host again");
+
+    client.call(r#"{"cmd":"shutdown"}"#);
+    server.wait();
+}
+
 /// Jobs whose predicted footprint exceeds the whole budget are rejected
 /// at submission, and the rejection carries the predicted footprint.
 #[test]
