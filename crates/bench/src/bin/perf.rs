@@ -11,8 +11,8 @@
 //! recorded, an out-of-core streamed run of the same product at a
 //! ~5x-undersized RAM budget, and one `roofline` point per kernel
 //! variant and element width — arithmetic intensity, GFLOP/s, measured
-//! STREAM-triad bandwidth, percent-of-peak, and the 5-loop blocking
-//! plan the run executed under) and
+//! STREAM-triad bandwidth, percent-of-peak, and the `µ` of the
+//! executor's work units) and
 //! `BENCH_sim.json` (simulator event throughput per algorithm) into the
 //! output directory (default `.`).
 //!
@@ -29,8 +29,8 @@ use mmc_bench::{run_figure_sharded, HarnessOpts, Setting};
 use mmc_core::algorithms::all_algorithms;
 use mmc_core::ProblemSpec;
 use mmc_exec::{
-    blocking, exec_drift, gemm_parallel, gemm_parallel_with_plan, kernel, run_traced, BlockMatrix,
-    BlockMatrixOf, ExecModel, Tiling,
+    blocking, exec_drift, gemm_parallel, gemm_parallel_with_kernel, kernel, run_traced,
+    BlockMatrix, BlockMatrixOf, ExecModel, Tiling,
 };
 use mmc_obs::{span, PerfCounters, RooflineRecord};
 use mmc_sim::MachineConfig;
@@ -146,9 +146,9 @@ fn main() {
 
     // Kernel comparison: the same parallel GEMM at q=64 under every
     // micro-kernel variant this host supports. Every variant runs the
-    // same packed 5-loop path, so the dispatched SIMD record vs the
-    // scalar record *is* the vector register kernel's speedup claim,
-    // kept machine-readable.
+    // same µ×µ block path, so the dispatched SIMD record vs the scalar
+    // record *is* the vector register kernel's speedup claim, kept
+    // machine-readable.
     let kq = 64;
     let korder = 6u32;
     let ka = BlockMatrix::pseudo_random(korder, korder, kq, 3);
@@ -159,12 +159,8 @@ fn main() {
     let bandwidth_gbs = mmc_obs::host_roofs().stream_gbs;
     if let Some(tiling) = Tiling::tradeoff(&machine) {
         for v in kernel::variants_available() {
-            // The 5-loop plan this variant runs under (its register tile
-            // sets the derived KC/MC/NC).
-            let plan64 = blocking::active_plan_for::<f64>(v);
-            let plan64_name = plan64.to_string();
             let secs = best_seconds(5, || {
-                std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
+                std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
             });
             exec_records.push(PerfRecord {
                 suite: "exec".into(),
@@ -180,7 +176,7 @@ fn main() {
             roofline.push(roofline_point(
                 &format!("gemm_q64/{}", v.name()),
                 v.name(),
-                &plan64_name,
+                &format!("mu={}", blocking::host_mu::<f64>(kq)),
                 korder,
                 kq,
                 8,
@@ -188,7 +184,7 @@ fn main() {
                 secs,
                 bandwidth_gbs,
                 || {
-                    std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
+                    std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
                 },
             ));
         }
@@ -198,11 +194,9 @@ fn main() {
         let ka32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 3);
         let kb32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 4);
         for v in kernel::variants_available() {
-            let plan32 = blocking::active_plan_for::<f32>(v);
-            let plan32_name = plan32.to_string();
             let kname = format!("{}_f32", v.name());
             let secs = best_seconds(5, || {
-                std::hint::black_box(gemm_parallel_with_plan(&ka32, &kb32, tiling, v, plan32));
+                std::hint::black_box(gemm_parallel_with_kernel(&ka32, &kb32, tiling, v));
             });
             exec_records.push(PerfRecord {
                 suite: "exec".into(),
@@ -216,7 +210,7 @@ fn main() {
             roofline.push(roofline_point(
                 &format!("gemm_q64_f32/{}", v.name()),
                 &kname,
-                &plan32_name,
+                &format!("mu={}", blocking::host_mu::<f32>(kq)),
                 korder,
                 kq,
                 4,
@@ -224,7 +218,7 @@ fn main() {
                 secs,
                 bandwidth_gbs,
                 || {
-                    std::hint::black_box(gemm_parallel_with_plan(&ka32, &kb32, tiling, v, plan32));
+                    std::hint::black_box(gemm_parallel_with_kernel(&ka32, &kb32, tiling, v));
                 },
             ));
         }
@@ -233,11 +227,10 @@ fn main() {
         // in the committed file *is* the always-on-tracing overhead
         // claim, machine-readable.
         let v = kernel::variant();
-        let plan64 = blocking::active_plan::<f64>();
         let spans_were_on = span::enabled();
         span::set_enabled(false);
         let secs = best_seconds(5, || {
-            std::hint::black_box(gemm_parallel_with_plan(&ka, &kb, tiling, v, plan64));
+            std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
         });
         span::set_enabled(spans_were_on);
         exec_records.push(PerfRecord {
@@ -249,16 +242,16 @@ fn main() {
             rate_unit: "flop".into(),
             kernel: v.name().into(),
         });
-        // Drift leg: one whole-problem-tile traced run so the five-loop
-        // closed forms apply exactly, held to account per phase.
+        // Drift leg: one whole-problem-tile traced run, its tile phase
+        // held to account against the FLOP roof.
         if span::enabled() {
             let whole = Tiling { tile_m: korder, tile_n: korder, tile_k: 1 };
-            let (_c, trun) = run_traced(&ka, &kb, whole, v, blocking::active_plan_for::<f64>(v));
-            let model = ExecModel::for_run(&ka, &kb, whole, v);
+            let (_c, trun) = run_traced(&ka, &kb, whole, v);
+            let model = ExecModel::for_run(&ka, &kb, v);
             drift_reports.push(exec_drift(&trun, &model, mmc_obs::drift::DEFAULT_BAND));
         }
     }
-    // Strassen–Winograd suite: the recursion against the classic 5-loop
+    // Strassen–Winograd suite: the recursion against the classic block
     // path, machine-readable. Three record families:
     //   gemm_strassen_q64/<variant> — a depth-1 recursion at the
     //     kernel-comparison shape with work set to the simulator's

@@ -43,7 +43,6 @@ pub mod algorithms;
 pub mod bounds;
 pub mod exact;
 pub mod formulas;
-pub mod lineage;
 pub mod params;
 pub mod problem;
 

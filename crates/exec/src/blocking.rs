@@ -1,45 +1,30 @@
-//! Analytic 5-loop blocking: `MC`/`KC`/`NC` derived from the cache model.
+//! Host cache sizes and the executor's block-tile parameter `µ`.
 //!
-//! The packed executor runs a BLIS-style 5-loop macro-kernel (see
-//! [`crate::runner`]); this module decides, at dispatch time, how deep
-//! each macro loop steps. The derivation applies the paper's Tradeoff
-//! footprint constraint `α² + 2αβ ≤ C_S` (§3.3) — generalized to
-//! non-square tiles by [`mmc_core::params::max_panel_depth`] — at the
-//! outer cache levels, innermost out:
-//!
-//! * `KC` — deepest `k` panel whose `KC×NR` `B` micro-panel fits in
-//!   (half of) L1, with `NR` from the kernel variant's register tile
-//!   ([`crate::kernel::KernelVariant::tile`]). That micro-panel is the
-//!   one operand the register kernel re-reads from L1 (once per `A`
-//!   micro-panel of a block); the `MR×KC` `A` micro-panels stream
-//!   through the other half and the `MR×NR` `C` tile lives in
-//!   registers, so neither is charged to L1;
-//! * `MC` — tallest `A` block such that the resident `KC×NR` `B`
-//!   micro-panel plus `MC×KC` `A` panel fit in (half of) L2;
-//! * `NC` — widest `B` panel such that the resident `MC×KC` `A` panel
-//!   plus `MC×NC` of `C` traffic fit in (half of) the shared cache.
-//!
-//! Half of each level is budgeted for the resident operands; the other
-//! half absorbs the `C` streams, the source-side packing reads, and
-//! conflict misses — the same spirit as the paper's LRU-50 declaration,
-//! which tells algorithms about half the physical capacity and lets the
-//! replacement policy use the rest as "kind of an automatic prefetching
-//! buffer" (§4.2).
+//! [`gemm_into`](crate::gemm_into) runs the paper's Maximum Reuse
+//! schedule inside each tile of its [`Tiling`](crate::Tiling): a `µ×µ`
+//! sub-tile of `C` blocks stays resident in one core's private cache
+//! while `k` streams one `A` block and a row of `µ` `B` blocks past it
+//! (Distributed Opt, §3.2). [`host_mu`] picks `µ` as the paper does —
+//! the largest integer with `1 + µ + µ² ≤ C_D` — with `C_D` the host's
+//! per-core L2 measured in `q×q` blocks of the element type.
 //!
 //! Cache sizes come from `/sys/devices/system/cpu/cpu0/cache` with
-//! conservative fallbacks, and the whole plan can be pinned with
-//! `MMC_BLOCKING=mc,kc,nc` (elements) for experiments. Plans are
-//! reported by `mmc exec --json` and recorded in `BENCH_exec.json` so
-//! every measured rate carries the blocking it ran under.
+//! conservative fallbacks ([`CacheLevels`]). `mmc exec --json` reports
+//! the `µ` each run used.
+//!
+//! [`BlockingPlan`], [`derive_plan`] and [`active_plan`] describe the
+//! `MC`/`KC`/`NC` panels of a BLIS-style 5-loop. No executor runs that
+//! loop any more; the plan is still derived, by the same footprint rule,
+//! for the benchmark harness that stamps it and sizes its packing probes.
 
 use crate::kernel::elem::Element;
-use crate::kernel::{self, KernelVariant, RegTile};
+use crate::kernel::{self, RegTile};
 use mmc_core::params;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// One 5-loop blocking decision, in **elements** (not blocks): the
-/// executor converts to whole `q×q` block multiples at the tile loop.
+/// One 5-loop blocking decision, in **elements** (not blocks). Only the
+/// benchmark harness reads it; no executor runs these panels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockingPlan {
     /// `A`-panel rows resident in L2 (the `ic` loop step).
@@ -150,58 +135,20 @@ pub fn derive_plan<T: Element>(levels: &CacheLevels, tile: RegTile) -> BlockingP
     BlockingPlan { mc, kc, nc }
 }
 
-/// The `MMC_BLOCKING=mc,kc,nc` override (elements), parsed once per
-/// process. Unset, empty, or `auto` means no override; a malformed value
-/// is a usage error that exits with a parse message rather than silently
-/// running a different experiment than the one asked for.
-pub fn env_override() -> Option<BlockingPlan> {
-    static OVERRIDE: OnceLock<Option<BlockingPlan>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| match std::env::var("MMC_BLOCKING") {
-        Err(_) => None,
-        Ok(s) if s.is_empty() || s == "auto" => None,
-        Ok(s) => match parse_override(&s) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("mmc-exec: {e}");
-                std::process::exit(2);
-            }
-        },
-    })
-}
-
-/// Parse an `MMC_BLOCKING` value (`"mc,kc,nc"` in elements).
-pub fn parse_override(s: &str) -> Result<BlockingPlan, String> {
-    let parts: Vec<&str> = s.split(',').map(str::trim).collect();
-    if parts.len() != 3 {
-        return Err(format!(
-            "MMC_BLOCKING must be \"mc,kc,nc\" (three positive element counts), got {s:?}"
-        ));
-    }
-    let field = |text: &str, name: &str| {
-        text.parse::<usize>()
-            .ok()
-            .filter(|&v| v >= 1)
-            .ok_or_else(|| format!("MMC_BLOCKING {name} must be a positive integer, got {text:?}"))
-    };
-    Ok(BlockingPlan {
-        mc: field(parts[0], "mc")?,
-        kc: field(parts[1], "kc")?,
-        nc: field(parts[2], "nc")?,
-    })
-}
-
-/// The plan the packed executor runs under for element type `T` and
-/// the dispatched kernel variant ([`active_plan_for`] of
-/// [`kernel::variant`]).
+/// The 5-loop plan for element type `T` and the dispatched kernel
+/// variant's register tile, derived from the host's cache levels.
 pub fn active_plan<T: Element>() -> BlockingPlan {
-    active_plan_for::<T>(kernel::variant())
+    derive_plan::<T>(&CacheLevels::detect_host(), kernel::variant().tile::<T>())
 }
 
-/// The plan for element type `T` under kernel variant `v`: the
-/// `MMC_BLOCKING` override when set, else the analytic derivation for
-/// `v`'s register tile from the host's detected cache levels.
-pub fn active_plan_for<T: Element>(v: KernelVariant) -> BlockingPlan {
-    env_override().unwrap_or_else(|| derive_plan::<T>(&CacheLevels::detect_host(), v.tile::<T>()))
+/// The paper's `µ` for `q×q` blocks of `T` on this host: the largest
+/// integer with `1 + µ + µ² ≤ C_D`, where `C_D` is the per-core L2 in
+/// blocks ([`params::max_reuse_param`]). At least 1, so a block too big
+/// for L2 still runs one block at a time.
+pub fn host_mu<T: Element>(q: usize) -> u32 {
+    let block_bytes = (q * q * std::mem::size_of::<T>()).max(1) as u64;
+    let capacity = CacheLevels::detect_host().l2_bytes / block_bytes;
+    params::max_reuse_param(capacity as usize).unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -260,7 +207,7 @@ mod tests {
         // Same byte budgets, half the element size: the f32 plan's KC
         // must be at least the f64 plan's, for every variant's tile.
         let levels = CacheLevels::FALLBACK;
-        for v in KernelVariant::ALL {
+        for v in crate::KernelVariant::ALL {
             let p64 = derive_plan::<f64>(&levels, v.tile::<f64>());
             let p32 = derive_plan::<f32>(&levels, v.tile::<f32>());
             assert!(p32.kc >= p64.kc, "{v}: f32 {p32:?} vs f64 {p64:?}");
@@ -268,15 +215,28 @@ mod tests {
     }
 
     #[test]
-    fn active_plans_follow_the_variant_tile() {
-        for v in KernelVariant::ALL {
-            let plan = active_plan_for::<f64>(v);
-            if env_override().is_none() {
-                let want = derive_plan::<f64>(&CacheLevels::detect_host(), v.tile::<f64>());
-                assert_eq!(plan, want, "{v}");
+    fn active_plan_follows_the_dispatched_tile() {
+        let want = derive_plan::<f64>(&CacheLevels::detect_host(), kernel::variant().tile::<f64>());
+        assert_eq!(active_plan::<f64>(), want);
+    }
+
+    #[test]
+    fn host_mu_is_the_max_reuse_parameter_of_l2_in_blocks() {
+        let l2 = CacheLevels::detect_host().l2_bytes;
+        for q in [1usize, 8, 32, 64, 80] {
+            let mu = host_mu::<f64>(q) as u64;
+            let blocks = l2 / (q * q * 8) as u64;
+            assert!(mu >= 1, "q={q}");
+            if blocks >= 3 {
+                // µ is the largest value whose footprint 1 + µ + µ² fits.
+                assert!(1 + mu + mu * mu <= blocks, "q={q}: µ={mu} over {blocks} blocks");
+                assert!(1 + (mu + 1) + (mu + 1) * (mu + 1) > blocks, "q={q}: µ={mu}");
             }
+            // Half-size elements fit at least as many blocks.
+            assert!(host_mu::<f32>(q) as u64 >= mu, "q={q}");
         }
-        assert_eq!(active_plan::<f64>(), active_plan_for::<f64>(kernel::variant()));
+        // A block larger than L2 still runs, one block at a time.
+        assert_eq!(host_mu::<f64>(1 << 16), 1);
     }
 
     #[test]
@@ -284,17 +244,6 @@ mod tests {
         let levels = CacheLevels::detect_host();
         assert!(levels.l1d_bytes > 0 && levels.l2_bytes > 0 && levels.shared_bytes > 0);
         assert!(levels.l1d_bytes <= levels.shared_bytes);
-    }
-
-    #[test]
-    fn override_parser_accepts_good_and_names_bad_fields() {
-        assert_eq!(
-            parse_override("384, 256,4096").unwrap(),
-            BlockingPlan { mc: 384, kc: 256, nc: 4096 }
-        );
-        assert!(parse_override("1,2").unwrap_err().contains("mc,kc,nc"));
-        assert!(parse_override("1,x,3").unwrap_err().contains("kc"));
-        assert!(parse_override("0,2,3").unwrap_err().contains("mc"));
     }
 
     #[test]

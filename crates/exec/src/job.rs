@@ -7,13 +7,12 @@
 //!
 //! Cancellation is cooperative. A [`CancelToken`] is a cheap clonable
 //! handle over a shared flag; the compute loops poll it at coarse,
-//! allocation-free boundaries — the `jc` macro-loop of the packed
-//! 5-loop path (and, in `mmc-ooc`, the panel-stage boundary before each
-//! prefetch claim).
-//! Polling at loop tops keeps the hot micro-kernel unchanged: a cancel
-//! is observed within one macro-panel of work, which is milliseconds at
-//! the shapes the server runs, while the steady-state overhead is one
-//! relaxed atomic load per macro iteration.
+//! allocation-free boundaries — each `k` step of an executor work unit
+//! (and, in `mmc-ooc`, the panel-stage boundary before each prefetch
+//! claim). Polling at loop tops keeps the block kernel unchanged: a
+//! cancel is observed within one `k` step of a `µ×µ` unit, which is
+//! milliseconds at the shapes the server runs, while the steady-state
+//! overhead is one relaxed atomic load per `µ²` block products.
 //!
 //! A cancelled [`crate::gemm_into`] returns `false` and leaves only its
 //! own (abandoned) output buffer behind; every worker thread observes
@@ -46,8 +45,8 @@ impl CancelToken {
 
     /// Has [`CancelToken::cancel`] been called on any clone?
     ///
-    /// A relaxed load — the executors poll this on macro-loop
-    /// boundaries where staleness of a few iterations is fine.
+    /// A relaxed load — the executors poll this on loop boundaries where
+    /// staleness of a few iterations is fine.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }

@@ -2,10 +2,10 @@
 //!
 //! Every algorithm in the paper bottoms out in "BLAS routines" on `q×q`
 //! blocks (§2.1). This module tree is that routine, grown from a single
-//! auto-vectorized scalar loop into a small BLIS-style stack:
+//! auto-vectorized scalar loop into register-blocked kernels:
 //!
 //! * [`elem`] — the [`Element`](elem::Element) abstraction (`f64` /
-//!   `f32`) carrying each type's kernel dispatch and packing arena;
+//!   `f32`) carrying each type's kernel dispatch;
 //! * [`scalar`] — the portable fallback: the original `i/k/j` triple loop
 //!   whose inner loop the compiler auto-vectorizes;
 //! * [`x86`] (x86_64 only) — register-blocked kernels: AVX2+FMA holding a
@@ -13,17 +13,13 @@
 //!   and AVX-512F holding an 8×16 (`f64`) or 8×32 (`f32`) tile in sixteen
 //!   ZMM accumulators;
 //! * [`neon`] (aarch64 only) — the YMM tile shapes on 128-bit NEON;
-//! * [`pack`] — thread-local scratch arenas that copy `A` row-panels and
-//!   `B` column-panels into contiguous micro-panel layout (the Maximum
-//!   Reuse residency pattern — a `µ×µ` tile of `C`, a row of `A`, a
-//!   column of `B` — materialized in memory order);
-//! * [`packed`] — the driver that runs the register kernels (or, for the
-//!   scalar variant, an unfused loop) over packed micro-panels for the
-//!   parallel executor's tiles.
+//! * [`pack`] — copies of `A` row-panels and `B` column-panels into
+//!   micro-panel order, kept as a measured layer; the executor itself
+//!   runs every kernel straight off the block storage.
 //!
 //! The register tile is a property of the (variant, element type) pair,
-//! [`KernelVariant::tile`]: packing layouts, the packed driver and the
-//! blocking derivation all read it from the variant they run.
+//! [`KernelVariant::tile`]: the packing layouts read it from the variant
+//! they pack for.
 //!
 //! # Dispatch
 //!
@@ -42,7 +38,7 @@
 //! (vector lanes and scalar edges alike), the scalar variant uses an
 //! unfused multiply+add everywhere. Results are therefore
 //! **bit-identical across executors** (`gemm_naive`, `run_schedule`,
-//! `gemm_into` under any `MC/KC/NC` blocking) for any fixed variant,
+//! `gemm_into` under any tiling) for any fixed variant,
 //! which the test suite checks with `==`. The register tile only decides
 //! which elements share a vector register, never the per-element
 //! sequence, so the fused SIMD variants (`avx2_fma`, `avx512_fma`,
@@ -54,7 +50,6 @@ use std::sync::OnceLock;
 
 pub mod elem;
 pub mod pack;
-pub mod packed;
 pub mod scalar;
 
 #[cfg(target_arch = "aarch64")]
@@ -82,8 +77,8 @@ pub enum KernelVariant {
 pub const VARIANT_NAMES: &str =
     "scalar, avx2_fma (alias: avx2), avx512_fma (alias: avx512), neon, auto";
 
-/// A micro-kernel's register tile: the `mr×nr` corner of `C` it keeps
-/// in vector registers across a `k` panel. Packed `A` micro-panels hold
+/// A kernel's register tile: the `mr×nr` corner of `C` it keeps in
+/// vector registers across the `k` loop. Packed `A` micro-panels hold
 /// `mr` values per `k` step, packed `B` micro-panels `nr`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegTile {

@@ -1,17 +1,17 @@
-//! NEON register-blocked micro-kernels (aarch64).
+//! NEON register-blocked block kernels (aarch64).
 //!
 //! Same tile shapes as the AVX2 kernels — 6×8 for `f64`, 6×16 for `f32`
 //! — but on 128-bit vectors: each `C` row is four `float64x2_t` (or
 //! `float32x4_t`) registers, so the tile occupies 24 of the 32 vector
 //! registers, leaving room for the four `B` vectors and the `A`
-//! broadcast of each `k` step. Software prefetch pulls the packed
-//! streams a few steps ahead, mirroring [`super::x86`].
+//! broadcast of each `k` step. Like [`super::x86`], the kernels run
+//! straight off the row-major `q×q` block storage.
 //!
 //! Rounding contract matches [`super::x86`]: one fused multiply-add per
 //! element per `k` step, ascending `k`, so full tiles, edges, and every
 //! executor path through the NEON variant agree bitwise.
 
-use super::{edge_fused, prefetch_read};
+use super::edge_fused;
 use core::arch::aarch64::*;
 
 /// Rows of `C` per register tile (both element types).
@@ -20,84 +20,6 @@ const MR: usize = 6;
 const NR_F64: usize = 8;
 /// `f32` columns per register tile (four 4-wide NEON registers).
 const NR_F32: usize = 16;
-/// How many `k` steps ahead the packed streams are prefetched.
-const PF_AHEAD: usize = 8;
-
-/// `C(6×8) += Apanel × Bpanel` on packed `f64` micro-panels.
-///
-/// Layout contract is identical to
-/// [`micro_6x8_f64`](super::x86::micro_6x8_f64) on x86: `ap` holds `kc`
-/// groups of 6 `A` values, `bp` holds `kc` groups of 8 `B` values, `c`
-/// is a 6×8 tile with row stride `ldc`.
-///
-/// # Safety
-/// `ap` must have at least `kc·6` elements, `bp` at least `kc·8`, and
-/// the 6 rows of 8 elements at `c` (stride `ldc`) must be in bounds and
-/// unaliased.
-#[target_feature(enable = "neon")]
-pub unsafe fn micro_6x8_f64(kc: usize, ap: *const f64, bp: *const f64, c: *mut f64, ldc: usize) {
-    let mut acc = [[vdupq_n_f64(0.0); 4]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (s, lane) in row.iter_mut().enumerate() {
-            *lane = vld1q_f64(c.add(r * ldc + 2 * s));
-        }
-    }
-    for k in 0..kc {
-        prefetch_read(bp.wrapping_add((k + PF_AHEAD) * NR_F64));
-        prefetch_read(ap.wrapping_add((k + PF_AHEAD) * MR));
-        let bk = bp.add(k * NR_F64);
-        let bv = [vld1q_f64(bk), vld1q_f64(bk.add(2)), vld1q_f64(bk.add(4)), vld1q_f64(bk.add(6))];
-        let ak = ap.add(k * MR);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = vdupq_n_f64(*ak.add(r));
-            for (s, lane) in row.iter_mut().enumerate() {
-                *lane = vfmaq_f64(*lane, av, bv[s]);
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        for (s, lane) in row.iter().enumerate() {
-            vst1q_f64(c.add(r * ldc + 2 * s), *lane);
-        }
-    }
-}
-
-/// `C(6×16) += Apanel × Bpanel` on packed `f32` micro-panels.
-///
-/// Same layout contract as [`micro_6x8_f64`] with `NR = 16`.
-///
-/// # Safety
-/// `ap` must have at least `kc·6` elements, `bp` at least `kc·16`, and
-/// the 6 rows of 16 elements at `c` (stride `ldc`) must be in bounds and
-/// unaliased.
-#[target_feature(enable = "neon")]
-pub unsafe fn micro_6x16_f32(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize) {
-    let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (s, lane) in row.iter_mut().enumerate() {
-            *lane = vld1q_f32(c.add(r * ldc + 4 * s));
-        }
-    }
-    for k in 0..kc {
-        prefetch_read(bp.wrapping_add((k + PF_AHEAD) * NR_F32));
-        prefetch_read(ap.wrapping_add((k + PF_AHEAD) * MR));
-        let bk = bp.add(k * NR_F32);
-        let bv = [vld1q_f32(bk), vld1q_f32(bk.add(4)), vld1q_f32(bk.add(8)), vld1q_f32(bk.add(12))];
-        let ak = ap.add(k * MR);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = vdupq_n_f32(*ak.add(r));
-            for (s, lane) in row.iter_mut().enumerate() {
-                *lane = vfmaq_f32(*lane, av, bv[s]);
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        for (s, lane) in row.iter().enumerate() {
-            vst1q_f32(c.add(r * ldc + 4 * s), *lane);
-        }
-    }
-}
-
 /// `c += a × b` on unpacked row-major `q×q` `f64` blocks, register-blocked.
 ///
 /// # Safety
@@ -151,6 +73,60 @@ pub unsafe fn block_fma_neon(c: &mut [f64], a: &[f64], b: &[f64], q: usize) {
     }
 }
 
+/// `c += a × b` on unpacked row-major `q×q` `f32` blocks, register-blocked:
+/// the `f32` twin of [`block_fma_neon`] with 6×16 tiles.
+///
+/// # Safety
+/// Each slice must hold at least `q²` elements.
+#[target_feature(enable = "neon")]
+pub unsafe fn block_fma_neon_f32(c: &mut [f32], a: &[f32], b: &[f32], q: usize) {
+    debug_assert!(c.len() >= q * q && a.len() >= q * q && b.len() >= q * q);
+    let cp = c.as_mut_ptr();
+    let apn = a.as_ptr();
+    let bpn = b.as_ptr();
+    let mut ir = 0;
+    while ir + MR <= q {
+        let mut jr = 0;
+        while jr + NR_F32 <= q {
+            let ctile = cp.add(ir * q + jr);
+            let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (s, lane) in row.iter_mut().enumerate() {
+                    *lane = vld1q_f32(ctile.add(r * q + 4 * s));
+                }
+            }
+            for k in 0..q {
+                let bk = bpn.add(k * q + jr);
+                let bv = [
+                    vld1q_f32(bk),
+                    vld1q_f32(bk.add(4)),
+                    vld1q_f32(bk.add(8)),
+                    vld1q_f32(bk.add(12)),
+                ];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = vdupq_n_f32(*apn.add((ir + r) * q + k));
+                    for (s, lane) in row.iter_mut().enumerate() {
+                        *lane = vfmaq_f32(*lane, av, bv[s]);
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (s, lane) in row.iter().enumerate() {
+                    vst1q_f32(ctile.add(r * q + 4 * s), *lane);
+                }
+            }
+            jr += NR_F32;
+        }
+        if jr < q {
+            edge_fused(c, a, b, q, (ir, MR, jr, q - jr));
+        }
+        ir += MR;
+    }
+    if ir < q {
+        edge_fused(c, a, b, q, (ir, q - ir, 0, q));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,29 +149,17 @@ mod tests {
     }
 
     #[test]
-    fn packed_f32_micro_kernel_matches_fused_scalar() {
-        let kc = 9usize;
-        let a: Vec<f32> = (0..MR * kc).map(|x| ((x * 11) % 19) as f32 - 9.0).collect();
-        let b: Vec<f32> = (0..kc * NR_F32).map(|x| ((x * 7) % 13) as f32 * 0.25).collect();
-        let mut ap = vec![0.0f32; kc * MR];
-        for k in 0..kc {
-            for r in 0..MR {
-                ap[k * MR + r] = a[r * kc + k];
-            }
+    fn neon_f32_block_kernel_matches_fused_scalar() {
+        for q in [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64] {
+            let a: Vec<f32> = (0..q * q).map(|x| ((x * 37) % 23) as f32 * 0.37 - 3.1).collect();
+            let b: Vec<f32> = (0..q * q).map(|x| ((x * 5) % 17) as f32 * 0.37 - 1.0).collect();
+            let c0: Vec<f32> = (0..q * q).map(|x| ((x * 11) % 19) as f32 * 0.37 - 0.5).collect();
+            let mut c = c0.clone();
+            // SAFETY: NEON is baseline on aarch64; slices are q².
+            unsafe { block_fma_neon_f32(&mut c, &a, &b, q) };
+            let mut fused = c0;
+            edge_fused(&mut fused, &a, &b, q, (0, q, 0, q));
+            assert_eq!(c, fused, "q={q}: every lane must round like fused scalar");
         }
-        let mut c = vec![1.0f32; MR * NR_F32];
-        let mut oracle = c.clone();
-        // SAFETY: NEON is baseline on aarch64; buffers sized exactly.
-        unsafe { micro_6x16_f32(kc, ap.as_ptr(), b.as_ptr(), c.as_mut_ptr(), NR_F32) };
-        for r in 0..MR {
-            for j in 0..NR_F32 {
-                let mut acc = oracle[r * NR_F32 + j];
-                for k in 0..kc {
-                    acc = a[r * kc + k].mul_add(b[k * NR_F32 + j], acc);
-                }
-                oracle[r * NR_F32 + j] = acc;
-            }
-        }
-        assert_eq!(c, oracle, "fused f32 vector lanes must equal fused scalar exactly");
     }
 }

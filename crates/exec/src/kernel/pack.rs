@@ -1,59 +1,23 @@
-//! Panel packing: contiguous micro-panel operands for the register kernels.
+//! Panel packing: contiguous micro-panel copies of `A` and `B`.
 //!
-//! The parallel executor's tasks stream `A` row-panels and `B`
-//! column-panels out of block-major [`BlockMatrixOf`] storage. The
-//! 5-loop macro-kernel copies the panels it is about to reuse into a
-//! thread-local scratch arena, laid out exactly in the order the
-//! `MR×NR` micro-kernels consume them, with the register tile of the
-//! kernel variant that will run ([`KernelVariant::tile`]):
+//! The executor multiplies straight off block-major storage (see
+//! [`crate::runner`]) and never packs. These routines remain as a
+//! measured layer of their own: they copy an `A` row-panel or a `B`
+//! column-panel of a [`BlockMatrixOf`] into the order a register kernel
+//! with variant `v`'s tile ([`KernelVariant::tile`]) would consume it:
 //!
 //! * `A` panels: per local block row, `⌈q/MR⌉` micro-panels of `MR`
 //!   values per `k` step (`[ip][k][r]`, rows past `q` zero-padded);
 //! * `B` panels: per local block column, `⌈q/NR⌉` micro-panels of `NR`
 //!   values per `k` step (`[jp][k][c]`, columns past `q` zero-padded).
 //!
-//! This materializes the Maximum Reuse residency pattern — a register
-//! tile of `C`, a sliver of `A`, a sliver of `B` — in actual memory
-//! order: the micro-kernel's entire `k` loop reads two forward-moving
-//! contiguous streams. Padding is multiplied by zero only in lanes that
-//! are never written back, so it cannot perturb results.
-//!
-//! Reused arena buffers are **not** re-zeroed: every slot below the
-//! packed length, padding lanes included, is written explicitly, so the
-//! buffers only grow (`resize` fires solely when a larger panel arrives)
-//! and repacking costs one pass instead of a memset plus a pass.
+//! A reused destination buffer is **not** re-zeroed: every slot below
+//! the packed length, padding lanes included, is written explicitly, so
+//! the buffer only grows and repacking costs one pass.
 
 use super::elem::Element;
 use super::KernelVariant;
 use crate::matrix::BlockMatrixOf;
-
-/// Thread-local packing scratch, reused across a task's `k` panels and
-/// across tasks run by the same worker thread. One arena exists per
-/// element type per thread (see [`Element::with_arena`]).
-pub struct PackArena<T = f64> {
-    /// Packed `A` row-panel buffer.
-    pub a: Vec<T>,
-    /// Packed `B` column-panel buffer.
-    pub b: Vec<T>,
-}
-
-impl<T> PackArena<T> {
-    /// An empty arena (the per-type thread-local slots start here).
-    pub const fn new() -> PackArena<T> {
-        PackArena { a: Vec::new(), b: Vec::new() }
-    }
-}
-
-impl<T> Default for PackArena<T> {
-    fn default() -> Self {
-        PackArena::new()
-    }
-}
-
-/// Run `f` with the current thread's packing arena for element type `T`.
-pub fn with_arena<T: Element, R>(f: impl FnOnce(&mut PackArena<T>) -> R) -> R {
-    T::with_arena(f)
-}
 
 /// Packed size of one block row's `A` micro-panels for a depth-`kc`
 /// panel under variant `v`.
@@ -78,7 +42,6 @@ fn size_for_pack<T: Element>(dst: &mut Vec<T>, len: usize) {
     } else {
         dst.truncate(len);
     }
-    crate::metrics::pack_bytes().add((len * std::mem::size_of::<T>()) as u64);
 }
 
 /// [`pack_a_panel_for`] the dispatched variant ([`super::variant`]).
@@ -281,15 +244,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn arena_is_reused() {
-        let cap = with_arena::<f64, _>(|ar| {
-            ar.a.resize(1024, 0.0);
-            ar.a.capacity()
-        });
-        let cap2 = with_arena::<f64, _>(|ar| ar.a.capacity());
-        assert_eq!(cap, cap2, "same thread sees the same arena");
     }
 }

@@ -1,14 +1,16 @@
 //! Portable scalar fallback kernel.
 //!
-//! The original micro-kernel of this crate: a plain `i/k/j` triple loop
-//! whose inner loop is a contiguous multiply-accumulate over a `C` row
-//! and a `B` row that the compiler auto-vectorizes. Every
-//! multiply-accumulate is an *unfused* multiply then add, per element in
-//! ascending `k` order — the determinism contract the SIMD variants
-//! mirror (with fused ops) on their side. Generic over the element type,
-//! since unfused multiply+add needs nothing beyond `Add`/`Mul`.
+//! A register-tiled `i/k/j` loop: two `C` rows by one YMM tile's width of
+//! columns ([`RegTile::ymm`]) stay in a local accumulator array across
+//! the whole `k` loop, whose fixed-size inner loop the compiler
+//! auto-vectorizes. Every multiply-accumulate is an *unfused* multiply
+//! then add, per element in ascending `k` order — the determinism
+//! contract the SIMD variants mirror (with fused ops) on their side.
+//! Generic over the element type, since unfused multiply+add needs
+//! nothing beyond `Add`/`Mul`.
 
 use super::elem::Element;
+use super::RegTile;
 
 /// `c += a × b` for row-major `q×q` blocks, scalar triple loop.
 ///
@@ -18,14 +20,40 @@ use super::elem::Element;
 #[inline]
 pub fn block_fma_scalar<T: Element>(c: &mut [T], a: &[T], b: &[T], q: usize) {
     debug_assert!(c.len() >= q * q && a.len() >= q * q && b.len() >= q * q);
-    for i in 0..q {
-        let c_row = &mut c[i * q..(i + 1) * q];
-        let a_row = &a[i * q..(i + 1) * q];
-        for k in 0..q {
-            let aik = a_row[k];
-            let b_row = &b[k * q..(k + 1) * q];
-            for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                *cv = *cv + aik * *bv;
+    // `2·NR` accumulators fit the baseline target's sixteen vector
+    // registers, where a taller tile would spill.
+    let nr = RegTile::ymm::<T>().nr;
+    const { assert!(RegTile::ymm::<T>().nr <= 16) };
+    for i0 in (0..q).step_by(2) {
+        let rows = (q - i0).min(2);
+        for j0 in (0..q).step_by(nr) {
+            let cols = (q - j0).min(nr);
+            let mut acc = [[T::ZERO; 16]; 2];
+            for r in 0..rows {
+                acc[r][..cols].copy_from_slice(&c[(i0 + r) * q + j0..][..cols]);
+            }
+            if rows == 2 && cols == nr {
+                for k in 0..q {
+                    let (a0, a1) = (a[i0 * q + k], a[(i0 + 1) * q + k]);
+                    let b_row = &b[k * q + j0..][..nr];
+                    for j in 0..nr {
+                        acc[0][j] = acc[0][j] + a0 * b_row[j];
+                        acc[1][j] = acc[1][j] + a1 * b_row[j];
+                    }
+                }
+            } else {
+                for k in 0..q {
+                    let b_row = &b[k * q + j0..][..cols];
+                    for (r, acc_row) in acc.iter_mut().take(rows).enumerate() {
+                        let aik = a[(i0 + r) * q + k];
+                        for (acc, &bv) in acc_row.iter_mut().zip(b_row) {
+                            *acc = *acc + aik * bv;
+                        }
+                    }
+                }
+            }
+            for r in 0..rows {
+                c[(i0 + r) * q + j0..][..cols].copy_from_slice(&acc[r][..cols]);
             }
         }
     }
@@ -49,6 +77,37 @@ mod tests {
                 assert!((x - y).abs() < 1e-9, "q={q}");
             }
         }
+    }
+
+    /// The register tile changes which elements share a loop, never an
+    /// element's sequence: bit-identical to the plain unfused `i/k/j`
+    /// loop, full tiles and ragged edges alike.
+    #[test]
+    fn scalar_rounds_like_the_plain_unfused_loop() {
+        fn plain<T: Element>(c: &mut [T], a: &[T], b: &[T], q: usize) {
+            for i in 0..q {
+                for k in 0..q {
+                    for j in 0..q {
+                        c[i * q + j] = c[i * q + j] + a[i * q + k] * b[k * q + j];
+                    }
+                }
+            }
+        }
+        fn check<T: Element>() {
+            for q in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 33, 64] {
+                let val =
+                    |x: usize, m: usize, d: usize| T::from_f64(((x * m) % d) as f64 * 0.37 - 2.0);
+                let a: Vec<T> = (0..q * q).map(|x| val(x, 37, 23)).collect();
+                let b: Vec<T> = (0..q * q).map(|x| val(x, 5, 17)).collect();
+                let mut c1: Vec<T> = (0..q * q).map(|x| val(x, 11, 19)).collect();
+                let mut c2 = c1.clone();
+                block_fma_scalar(&mut c1, &a, &b, q);
+                plain(&mut c2, &a, &b, q);
+                assert_eq!(c1, c2, "{} q={q}", T::NAME);
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

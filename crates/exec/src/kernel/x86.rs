@@ -1,4 +1,8 @@
-//! Register-blocked micro-kernels for AVX2+FMA and AVX-512F (x86_64).
+//! Register-blocked block kernels for AVX2+FMA and AVX-512F (x86_64).
+//!
+//! Every kernel updates one row-major `q×q` block of `C` straight off the
+//! block storage: `A` is broadcast with stride `q` and `B` rows load
+//! contiguously, so nothing is copied before the multiply.
 //!
 //! The YMM tile shapes are chosen against Haswell-class port budgets,
 //! where two FMA ports compete with two load ports:
@@ -6,115 +10,42 @@
 //! * `f64` 6×8 — twelve YMM accumulators (two 4-wide registers per `C`
 //!   row). Per `k` step: two `B` loads + six `A` broadcasts = 8 load-port
 //!   µops against 12 FMAs, so the kernel runs at the FMA limit
-//!   (16 FLOP/cycle) instead of the load-port limit the old 8×4 shape hit
+//!   (16 FLOP/cycle) instead of the load-port limit an 8×4 shape hits
 //!   (one `B` load + eight broadcasts = 9 load µops per 8 FMAs).
 //! * `f32` 6×16 — the same twelve accumulators at twice the lane width.
 //!
 //! Twelve accumulators also cover the FMA latency×throughput product
-//! (4–5 cycles × 2 ports), so the dependency chains never stall. Software
-//! prefetch pulls the packed streams a few steps ahead; the two extra
-//! load-port µops still fit under the FMA-bound cycle count.
+//! (4–5 cycles × 2 ports), so the dependency chains never stall.
 //!
 //! The ZMM kernels keep two registers per row at twice the width and
 //! take eight rows: `f64` 8×16 and `f32` 8×32, sixteen accumulators out
 //! of AVX-512's 32 registers. Per `k` step that is two `B` loads + eight
 //! broadcasts against 16 FMAs, each twice as wide as a YMM FMA. Eight
 //! rows also divide the benchmark's `q = 32` and `q = 64` blocks, so
-//! those blocks have no edge tiles. Taller or wider shapes (12×16,
-//! 8×24, 6×32, 4×32) measured slower on a Xeon with two FMA units.
+//! those blocks have no row strip. Their column sliver runs with masked
+//! loads and stores instead of a scalar remainder.
 //!
 //! Rounding contract: every element update is one *fused* multiply-add
 //! per `k` step, ascending `k` — identical to the scalar `mul_add` edge
-//! paths, so full and partial register tiles agree bitwise, every
+//! path, so full and partial register tiles agree bitwise, every
 //! executor path through one variant is bit-identical, and the YMM and
 //! ZMM variants agree with each other.
 
-use super::{edge_fused, prefetch_read};
+use super::edge_fused;
 use core::arch::x86_64::*;
 
-/// Rows of `C` per register tile (both element types).
+/// Rows of `C` per YMM register tile (both element types).
 const MR: usize = 6;
-/// `f64` columns per register tile (two 4-wide YMM registers).
+/// `f64` columns per YMM register tile (two 4-wide registers).
 const NR_F64: usize = 8;
-/// `f32` columns per register tile (two 8-wide YMM registers).
+/// `f32` columns per YMM register tile (two 8-wide registers).
 const NR_F32: usize = 16;
-/// How many `k` steps ahead the packed streams are prefetched.
-const PF_AHEAD: usize = 8;
 /// Rows of `C` per ZMM register tile (both element types).
 const MR_ZMM: usize = 8;
 /// `f64` columns per ZMM register tile (two 8-wide ZMM registers).
 const NR_F64_ZMM: usize = 16;
 /// `f32` columns per ZMM register tile (two 16-wide ZMM registers).
 const NR_F32_ZMM: usize = 32;
-
-/// `C(6×8) += Apanel × Bpanel` on packed `f64` micro-panels.
-///
-/// `ap` holds `kc` groups of 6 `A` values (one per `C` row), `bp` holds
-/// `kc` groups of 8 `B` values (one per `C` column), `c` points at a
-/// 6×8 tile stored with row stride `ldc`.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available, `ap` has at least
-/// `kc·6` elements, `bp` at least `kc·8`, and the 6 rows of 8 elements
-/// at `c` (stride `ldc`) are in bounds and unaliased.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn micro_6x8_f64(kc: usize, ap: *const f64, bp: *const f64, c: *mut f64, ldc: usize) {
-    let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_pd(c.add(r * ldc));
-        row[1] = _mm256_loadu_pd(c.add(r * ldc + 4));
-    }
-    for k in 0..kc {
-        prefetch_read(bp.wrapping_add((k + PF_AHEAD) * NR_F64));
-        prefetch_read(ap.wrapping_add((k + PF_AHEAD) * MR));
-        let b0 = _mm256_loadu_pd(bp.add(k * NR_F64));
-        let b1 = _mm256_loadu_pd(bp.add(k * NR_F64 + 4));
-        let ak = ap.add(k * MR);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_pd(*ak.add(r));
-            row[0] = _mm256_fmadd_pd(av, b0, row[0]);
-            row[1] = _mm256_fmadd_pd(av, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm256_storeu_pd(c.add(r * ldc), row[0]);
-        _mm256_storeu_pd(c.add(r * ldc + 4), row[1]);
-    }
-}
-
-/// `C(6×16) += Apanel × Bpanel` on packed `f32` micro-panels.
-///
-/// Same layout contract as [`micro_6x8_f64`] with `NR = 16`: `ap` holds
-/// `kc` groups of 6 `A` values, `bp` holds `kc` groups of 16 `B` values.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available, `ap` has at least
-/// `kc·6` elements, `bp` at least `kc·16`, and the 6 rows of 16 elements
-/// at `c` (stride `ldc`) are in bounds and unaliased.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn micro_6x16_f32(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize) {
-    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_ps(c.add(r * ldc));
-        row[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
-    }
-    for k in 0..kc {
-        prefetch_read(bp.wrapping_add((k + PF_AHEAD) * NR_F32));
-        prefetch_read(ap.wrapping_add((k + PF_AHEAD) * MR));
-        let b0 = _mm256_loadu_ps(bp.add(k * NR_F32));
-        let b1 = _mm256_loadu_ps(bp.add(k * NR_F32 + 8));
-        let ak = ap.add(k * MR);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*ak.add(r));
-            row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-            row[1] = _mm256_fmadd_ps(av, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm256_storeu_ps(c.add(r * ldc), row[0]);
-        _mm256_storeu_ps(c.add(r * ldc + 8), row[1]);
-    }
-}
 
 /// `c += a × b` on unpacked row-major `q×q` `f64` blocks, register-blocked.
 ///
@@ -195,80 +126,6 @@ pub unsafe fn block_fma_avx2(c: &mut [f64], a: &[f64], b: &[f64], q: usize) {
         if jr < q {
             edge_fused(c, a, b, q, (ir, mi, jr, q - jr));
         }
-    }
-}
-
-/// `C(8×16) += Apanel × Bpanel` on packed `f64` micro-panels.
-///
-/// `ap` holds `kc` groups of 8 `A` values (one per `C` row), `bp` holds
-/// `kc` groups of 16 `B` values (one per `C` column), `c` points at an
-/// 8×16 tile stored with row stride `ldc`. Each `B` group spans two
-/// cache lines, so both are prefetched.
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available, `ap` has at least `kc·8`
-/// elements, `bp` at least `kc·16`, and the 8 rows of 16 elements at `c`
-/// (stride `ldc`) are in bounds and unaliased.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn micro_8x16_f64(kc: usize, ap: *const f64, bp: *const f64, c: *mut f64, ldc: usize) {
-    let mut acc = [[_mm512_setzero_pd(); 2]; MR_ZMM];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm512_loadu_pd(c.add(r * ldc));
-        row[1] = _mm512_loadu_pd(c.add(r * ldc + 8));
-    }
-    for k in 0..kc {
-        let pf = (k + PF_AHEAD) * NR_F64_ZMM;
-        prefetch_read(bp.wrapping_add(pf));
-        prefetch_read(bp.wrapping_add(pf + 8));
-        prefetch_read(ap.wrapping_add((k + PF_AHEAD) * MR_ZMM));
-        let b0 = _mm512_loadu_pd(bp.add(k * NR_F64_ZMM));
-        let b1 = _mm512_loadu_pd(bp.add(k * NR_F64_ZMM + 8));
-        let ak = ap.add(k * MR_ZMM);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_pd(*ak.add(r));
-            row[0] = _mm512_fmadd_pd(av, b0, row[0]);
-            row[1] = _mm512_fmadd_pd(av, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm512_storeu_pd(c.add(r * ldc), row[0]);
-        _mm512_storeu_pd(c.add(r * ldc + 8), row[1]);
-    }
-}
-
-/// `C(8×32) += Apanel × Bpanel` on packed `f32` micro-panels.
-///
-/// Same layout contract as [`micro_8x16_f64`] with `NR = 32`: `ap` holds
-/// `kc` groups of 8 `A` values, `bp` holds `kc` groups of 32 `B` values.
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available, `ap` has at least `kc·8`
-/// elements, `bp` at least `kc·32`, and the 8 rows of 32 elements at `c`
-/// (stride `ldc`) are in bounds and unaliased.
-#[target_feature(enable = "avx512f")]
-pub unsafe fn micro_8x32_f32(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize) {
-    let mut acc = [[_mm512_setzero_ps(); 2]; MR_ZMM];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm512_loadu_ps(c.add(r * ldc));
-        row[1] = _mm512_loadu_ps(c.add(r * ldc + 16));
-    }
-    for k in 0..kc {
-        let pf = (k + PF_AHEAD) * NR_F32_ZMM;
-        prefetch_read(bp.wrapping_add(pf));
-        prefetch_read(bp.wrapping_add(pf + 16));
-        prefetch_read(ap.wrapping_add((k + PF_AHEAD) * MR_ZMM));
-        let b0 = _mm512_loadu_ps(bp.add(k * NR_F32_ZMM));
-        let b1 = _mm512_loadu_ps(bp.add(k * NR_F32_ZMM + 16));
-        let ak = ap.add(k * MR_ZMM);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*ak.add(r));
-            row[0] = _mm512_fmadd_ps(av, b0, row[0]);
-            row[1] = _mm512_fmadd_ps(av, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm512_storeu_ps(c.add(r * ldc), row[0]);
-        _mm512_storeu_ps(c.add(r * ldc + 16), row[1]);
     }
 }
 
@@ -364,61 +221,210 @@ unsafe fn tile_8x16_unpacked<const MASKED: bool>(
     }
 }
 
+/// `c += a × b` on unpacked row-major `q×q` `f32` blocks, with 6×16 YMM
+/// register tiles.
+///
+/// The `f32` twin of [`block_fma_avx2`]: full tiles and the `q % 6` row
+/// strip run the vector loop (the strip with a runtime row count), and
+/// only the `q % 16` column sliver uses the fused scalar remainder.
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available and each slice holds at
+/// least `q²` elements.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn block_fma_avx2_f32(c: &mut [f32], a: &[f32], b: &[f32], q: usize) {
+    debug_assert!(c.len() >= q * q && a.len() >= q * q && b.len() >= q * q);
+    let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    let mut ir = 0;
+    while ir < q {
+        let rows = MR.min(q - ir);
+        let mut jr = 0;
+        while jr + NR_F32 <= q {
+            if rows == MR {
+                tile_6x16_f32(cp, ap, bp, q, ir, MR, jr);
+            } else {
+                tile_6x16_f32(cp, ap, bp, q, ir, rows, jr);
+            }
+            jr += NR_F32;
+        }
+        if jr < q {
+            edge_fused(c, a, b, q, (ir, rows, jr, q - jr));
+        }
+        ir += MR;
+    }
+}
+
+/// One `rows×16` register tile of [`block_fma_avx2_f32`] at `(ir, jr)`.
+///
+/// # Safety
+/// Caller must ensure AVX2 and FMA are available, `cp`, `ap` and `bp`
+/// each point at `q²` elements, `ir + rows ≤ q`, `rows ≤ 6` and
+/// `jr + 16 ≤ q`.
+#[inline(always)]
+unsafe fn tile_6x16_f32(
+    cp: *mut f32,
+    ap: *const f32,
+    bp: *const f32,
+    q: usize,
+    ir: usize,
+    rows: usize,
+    jr: usize,
+) {
+    let ctile = cp.add(ir * q + jr);
+    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+    for (r, row) in acc.iter_mut().take(rows).enumerate() {
+        row[0] = _mm256_loadu_ps(ctile.add(r * q));
+        row[1] = _mm256_loadu_ps(ctile.add(r * q + 8));
+    }
+    for k in 0..q {
+        let b0 = _mm256_loadu_ps(bp.add(k * q + jr));
+        let b1 = _mm256_loadu_ps(bp.add(k * q + jr + 8));
+        for (r, row) in acc.iter_mut().take(rows).enumerate() {
+            let av = _mm256_set1_ps(*ap.add((ir + r) * q + k));
+            row[0] = _mm256_fmadd_ps(av, b0, row[0]);
+            row[1] = _mm256_fmadd_ps(av, b1, row[1]);
+        }
+    }
+    for (r, row) in acc.iter().take(rows).enumerate() {
+        _mm256_storeu_ps(ctile.add(r * q), row[0]);
+        _mm256_storeu_ps(ctile.add(r * q + 8), row[1]);
+    }
+}
+
+/// `c += a × b` on unpacked row-major `q×q` `f32` blocks, with 8×32 ZMM
+/// register tiles.
+///
+/// The `f32` twin of [`block_fma_avx512`]: the `q % 8` row strip runs
+/// with a runtime row count and the `q % 32` column sliver with masked
+/// loads and stores, so every element takes the vector path.
+///
+/// # Safety
+/// Caller must ensure AVX-512F is available and each slice holds at
+/// least `q²` elements.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn block_fma_avx512_f32(c: &mut [f32], a: &[f32], b: &[f32], q: usize) {
+    debug_assert!(c.len() >= q * q && a.len() >= q * q && b.len() >= q * q);
+    let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    let mut ir = 0;
+    while ir < q {
+        let rows = MR_ZMM.min(q - ir);
+        let mut jr = 0;
+        while jr + NR_F32_ZMM <= q {
+            if rows == MR_ZMM {
+                tile_8x32_unpacked::<false>(cp, ap, bp, q, ir, MR_ZMM, jr, [0xffff; 2]);
+            } else {
+                tile_8x32_unpacked::<false>(cp, ap, bp, q, ir, rows, jr, [0xffff; 2]);
+            }
+            jr += NR_F32_ZMM;
+        }
+        if jr < q {
+            let live = (1u64 << (q - jr)) - 1;
+            let masks = [live as __mmask16, (live >> 16) as __mmask16];
+            tile_8x32_unpacked::<true>(cp, ap, bp, q, ir, rows, jr, masks);
+        }
+        ir += MR_ZMM;
+    }
+}
+
+/// One `rows×32` register tile of [`block_fma_avx512_f32`] at `(ir, jr)`;
+/// the `f32` twin of [`tile_8x16_unpacked`].
+///
+/// # Safety
+/// As [`tile_8x16_unpacked`], with 32 columns in place of 16.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_8x32_unpacked<const MASKED: bool>(
+    cp: *mut f32,
+    ap: *const f32,
+    bp: *const f32,
+    q: usize,
+    ir: usize,
+    rows: usize,
+    jr: usize,
+    masks: [__mmask16; 2],
+) {
+    let load = |p: *const f32, h: usize| {
+        if MASKED {
+            _mm512_maskz_loadu_ps(masks[h], p)
+        } else {
+            _mm512_loadu_ps(p)
+        }
+    };
+    // `wrapping_add`: a masked-off half may start past the block's end.
+    let ctile = cp.add(ir * q + jr);
+    let mut acc = [[_mm512_setzero_ps(); 2]; MR_ZMM];
+    for (r, row) in acc.iter_mut().take(rows).enumerate() {
+        row[0] = load(ctile.add(r * q), 0);
+        row[1] = load(ctile.wrapping_add(r * q + 16), 1);
+    }
+    for k in 0..q {
+        let b0 = load(bp.add(k * q + jr), 0);
+        let b1 = load(bp.wrapping_add(k * q + jr + 16), 1);
+        for (r, row) in acc.iter_mut().take(rows).enumerate() {
+            let av = _mm512_set1_ps(*ap.add((ir + r) * q + k));
+            row[0] = _mm512_fmadd_ps(av, b0, row[0]);
+            row[1] = _mm512_fmadd_ps(av, b1, row[1]);
+        }
+    }
+    for (r, row) in acc.iter().take(rows).enumerate() {
+        if MASKED {
+            _mm512_mask_storeu_ps(ctile.add(r * q), masks[0], row[0]);
+            _mm512_mask_storeu_ps(ctile.wrapping_add(r * q + 16), masks[1], row[1]);
+        } else {
+            _mm512_storeu_ps(ctile.add(r * q), row[0]);
+            _mm512_storeu_ps(ctile.add(r * q + 16), row[1]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::elem::Element;
     use crate::kernel::{block_fma_reference, KernelVariant};
 
-    /// A packed micro-kernel's signature, for the shared checks below.
-    type Micro<T> = unsafe fn(usize, *const T, *const T, *mut T, usize);
+    /// Block sides for the `f32` kernels: below one tile, multiples of
+    /// the 16- and 32-wide tiles, and ragged rows and columns around them.
+    const F32_SIDES: [usize; 12] = [1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64];
 
-    /// Run `micro` on one hand-packed `mr×nr` tile with depth `kc` and a
-    /// non-zero starting `C`; it must equal fused scalar `mul_add` per
-    /// element, ascending `k`, exactly.
-    fn check_packed_against_fused_scalar<T: Element>(micro: Micro<T>, mr: usize, nr: usize) {
-        for kc in [1usize, 11, 64] {
+    /// Run `kernel` on irregular `q×q` `f32` data from a non-zero `C`; it
+    /// must equal the fused scalar remainder ([`edge_fused`]) bit for bit.
+    fn check_f32_against_fused_scalar(
+        name: &str,
+        kernel: unsafe fn(&mut [f32], &[f32], &[f32], usize),
+    ) {
+        for q in F32_SIDES {
             let val = |x: usize, m: usize, d: usize, off: f64| {
-                T::from_f64(((x * m) % d) as f64 * 0.37 - off)
+                f32::from_f64(((x * m) % d) as f64 * 0.37 - off)
             };
-            let a: Vec<T> = (0..mr * kc).map(|x| val(x, 11, 19, 3.0)).collect(); // row-major mr×kc
-            let b: Vec<T> = (0..kc * nr).map(|x| val(x, 7, 13, 2.0)).collect(); // row-major kc×nr
-            let mut ap = vec![T::ZERO; kc * mr];
-            for k in 0..kc {
-                for r in 0..mr {
-                    ap[k * mr + r] = a[r * kc + k];
-                }
-            }
-            let mut c: Vec<T> = (0..mr * nr).map(|x| val(x, 5, 17, 1.0)).collect();
-            let mut oracle = c.clone();
-            // SAFETY: callers check availability; buffers sized exactly.
-            unsafe { micro(kc, ap.as_ptr(), b.as_ptr(), c.as_mut_ptr(), nr) };
-            for r in 0..mr {
-                for j in 0..nr {
-                    let mut acc = oracle[r * nr + j];
-                    for k in 0..kc {
-                        acc = a[r * kc + k].mul_add(b[k * nr + j], acc);
-                    }
-                    oracle[r * nr + j] = acc;
-                }
-            }
-            assert_eq!(
-                c,
-                oracle,
-                "{} {mr}x{nr} kc={kc}: vector lanes must equal fused scalar",
-                T::NAME
-            );
+            let a: Vec<f32> = (0..q * q).map(|x| val(x, 37, 23, 3.1)).collect();
+            let b: Vec<f32> = (0..q * q).map(|x| val(x, 5, 17, 1.0)).collect();
+            let c0: Vec<f32> = (0..q * q).map(|x| val(x, 11, 19, 0.5)).collect();
+            let mut c = c0.clone();
+            // SAFETY: callers check availability; slices are q².
+            unsafe { kernel(&mut c, &a, &b, q) };
+            let mut fused = c0;
+            edge_fused(&mut fused, &a, &b, q, (0, q, 0, q));
+            assert_eq!(c, fused, "{name} q={q}: every lane must round like fused scalar");
         }
     }
 
     #[test]
-    fn zmm_packed_micro_kernels_match_fused_scalar() {
+    fn avx2_f32_block_kernel_matches_fused_scalar() {
+        if !KernelVariant::Avx2Fma.is_available() {
+            eprintln!("skipping: no AVX2+FMA on this host");
+            return;
+        }
+        check_f32_against_fused_scalar("avx2_f32", block_fma_avx2_f32);
+    }
+
+    #[test]
+    fn avx512_f32_block_kernel_matches_fused_scalar() {
         if !KernelVariant::Avx512Fma.is_available() {
             eprintln!("skipping: no AVX-512F on this host");
             return;
         }
-        check_packed_against_fused_scalar::<f64>(micro_8x16_f64, MR_ZMM, NR_F64_ZMM);
-        check_packed_against_fused_scalar::<f32>(micro_8x32_f32, MR_ZMM, NR_F32_ZMM);
+        check_f32_against_fused_scalar("avx512_f32", block_fma_avx512_f32);
     }
 
     #[test]
@@ -466,68 +472,5 @@ mod tests {
                 assert!((x - y).abs() < 1e-9, "q={q} elem {i}: {x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn packed_micro_kernel_matches_unpacked_tile() {
-        if !KernelVariant::Avx2Fma.is_available() {
-            eprintln!("skipping: no AVX2+FMA on this host");
-            return;
-        }
-        // One full 6×8 tile with kc = 16: pack operands by hand.
-        let kc = 16usize;
-        let a: Vec<f64> = (0..MR * kc).map(|x| ((x * 11) % 19) as f64 - 9.0).collect(); // row-major MR×kc
-        let b: Vec<f64> = (0..kc * NR_F64).map(|x| ((x * 7) % 13) as f64 * 0.25).collect(); // row-major kc×NR
-        let mut ap = vec![0.0; kc * MR];
-        for k in 0..kc {
-            for r in 0..MR {
-                ap[k * MR + r] = a[r * kc + k];
-            }
-        }
-        let mut c = vec![1.0; MR * NR_F64];
-        let mut oracle = c.clone();
-        // SAFETY: availability checked; buffers sized exactly.
-        unsafe { micro_6x8_f64(kc, ap.as_ptr(), b.as_ptr(), c.as_mut_ptr(), NR_F64) };
-        for r in 0..MR {
-            for j in 0..NR_F64 {
-                let mut acc = oracle[r * NR_F64 + j];
-                for k in 0..kc {
-                    acc = a[r * kc + k].mul_add(b[k * NR_F64 + j], acc);
-                }
-                oracle[r * NR_F64 + j] = acc;
-            }
-        }
-        assert_eq!(c, oracle, "fused vector lanes must equal fused scalar exactly");
-    }
-
-    #[test]
-    fn packed_f32_micro_kernel_matches_fused_scalar() {
-        if !KernelVariant::Avx2Fma.is_available() {
-            eprintln!("skipping: no AVX2+FMA on this host");
-            return;
-        }
-        let kc = 11usize;
-        let a: Vec<f32> = (0..MR * kc).map(|x| ((x * 11) % 19) as f32 - 9.0).collect();
-        let b: Vec<f32> = (0..kc * NR_F32).map(|x| ((x * 7) % 13) as f32 * 0.25).collect();
-        let mut ap = vec![0.0f32; kc * MR];
-        for k in 0..kc {
-            for r in 0..MR {
-                ap[k * MR + r] = a[r * kc + k];
-            }
-        }
-        let mut c = vec![1.0f32; MR * NR_F32];
-        let mut oracle = c.clone();
-        // SAFETY: availability checked; buffers sized exactly.
-        unsafe { micro_6x16_f32(kc, ap.as_ptr(), b.as_ptr(), c.as_mut_ptr(), NR_F32) };
-        for r in 0..MR {
-            for j in 0..NR_F32 {
-                let mut acc = oracle[r * NR_F32 + j];
-                for k in 0..kc {
-                    acc = a[r * kc + k].mul_add(b[k * NR_F32 + j], acc);
-                }
-                oracle[r * NR_F32 + j] = acc;
-            }
-        }
-        assert_eq!(c, oracle, "fused f32 vector lanes must equal fused scalar exactly");
     }
 }

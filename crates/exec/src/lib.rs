@@ -3,19 +3,19 @@
 //! While `mmc-sim` counts the cache misses of each schedule, this crate
 //! *runs* them: dense block-major matrices generic over `f64`/`f32`
 //! ([`BlockMatrix`] / [`BlockMatrixOf`]), a register-blocked `q×q`
-//! micro-kernel subsystem with runtime CPU dispatch and panel packing
-//! ([`kernel`]), analytic 5-loop blocking derived from the paper's cache
-//! model ([`blocking`]), an exact schedule replayer ([`ExecSink`] /
-//! [`run_schedule`]) and one rayon-parallel tiled GEMM entry point
-//! ([`gemm_into`], with [`gemm_parallel`] as its fresh-product form)
-//! whose tilings come straight from the paper's parameters (`λ`,
-//! `√p·µ`, `(α, β)`).
+//! block-kernel subsystem with runtime CPU dispatch ([`kernel`]), the
+//! host's cache sizes and the paper's `µ` ([`blocking`]), an exact
+//! schedule replayer ([`ExecSink`] / [`run_schedule`]) and one
+//! rayon-parallel tiled GEMM entry point ([`gemm_into`], with
+//! [`gemm_parallel`] as its fresh-product form) whose tilings come
+//! straight from the paper's parameters (`λ`, `√p·µ`, `(α, β)`) and
+//! whose cores each run `µ×µ` sub-tiles of `C` blocks.
 //!
 //! Every path accumulates contributions in ascending `k` order with the
 //! same dispatched kernel, so all executors produce bit-identical
-//! results — across code paths *and* across blocking plans — and the
+//! results — across code paths, tilings and thread counts — and the
 //! tests compare them with `==`. See [`kernel`] for the dispatch rules
-//! and the `MMC_KERNEL` override, and [`blocking`] for `MMC_BLOCKING`.
+//! and the `MMC_KERNEL` override.
 //!
 //! ```
 //! use mmc_exec::{gemm_parallel, gemm_naive, BlockMatrix, Tiling};
@@ -47,6 +47,7 @@ pub use kernel::KernelVariant;
 pub use matrix::{BlockMatrix, BlockMatrixOf};
 pub use naive::gemm_naive;
 pub use runner::{
-    gemm_into, gemm_parallel, gemm_parallel_with_plan, run_schedule, ExecSink, GemmOpts, Tiling,
+    gemm_into, gemm_parallel, gemm_parallel_with_kernel, gemm_parallel_with_plan, run_schedule,
+    unit_mu, ExecSink, GemmOpts, Tiling,
 };
 pub use tracing::{exec_drift, run_traced, spans_to_chrome, ExecModel, TracedRun};

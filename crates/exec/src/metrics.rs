@@ -1,20 +1,17 @@
-//! Executor metrics: per-kernel FLOP counters and panel-pack traffic,
-//! registered in the process-wide [`mmc_obs`] registry.
+//! Executor metrics: per-kernel FLOP and tile counters, registered in
+//! the process-wide [`mmc_obs`] registry.
 //!
 //! Counter names are stable API (the `mmc counters` subcommand and the
 //! golden reconciliation tests key on them):
 //!
 //! * `exec.flops.<variant>` — useful FLOPs retired through the tiled
 //!   executor ([`crate::gemm_into`] and its wrappers), counted as
-//!   `2·q³` per block FMA and bumped **once per tile** so the hot loop
-//!   pays one relaxed atomic add per task, not per block.
+//!   `2·q³` per block FMA and bumped **once per work unit**, so the hot
+//!   loop pays one relaxed atomic add per unit, not per block.
 //! * `exec.flops.schedule` — FLOPs retired by the exact schedule
 //!   replayer ([`crate::ExecSink`]), counted per `fma` event.
-//! * `exec.tiles.<variant>` — tiles completed per kernel variant.
-//! * `exec.pack_bytes` — bytes written into packing arenas by
-//!   [`crate::kernel::pack::pack_a_panel`] / `pack_b_panel`: the real
-//!   memory traffic the packed path adds in exchange for contiguous
-//!   micro-panel streams.
+//! * `exec.tiles.<variant>` — work units (`µ×µ` sub-tiles of `C`)
+//!   completed per kernel variant.
 
 use crate::kernel::KernelVariant;
 use mmc_obs::{global, Counter};
@@ -43,12 +40,6 @@ fn per_variant(prefix: &str) -> [Arc<Counter>; 4] {
 pub fn schedule_flops() -> &'static Counter {
     static SCHEDULE: OnceLock<Arc<Counter>> = OnceLock::new();
     SCHEDULE.get_or_init(|| global().counter("exec.flops.schedule"))
-}
-
-/// The `exec.pack_bytes` counter (panel-packing arena traffic).
-pub fn pack_bytes() -> &'static Counter {
-    static PACK: OnceLock<Arc<Counter>> = OnceLock::new();
-    PACK.get_or_init(|| global().counter("exec.pack_bytes"))
 }
 
 /// Total `exec.flops.*` across every kernel variant plus the schedule

@@ -7,33 +7,34 @@
 //!   compute the right product (the simulator only proved they touch the
 //!   right blocks);
 //! * [`gemm_into`] runs the tilings the algorithms prescribe with a
-//!   rayon thread pool, every core taking row chunks of each `C` tile,
-//!   which is how the schedules map onto a real shared-memory machine
-//!   (the paper's "future work: implement all algorithms on
+//!   rayon thread pool, every core taking `µ×µ` sub-tiles of each `C`
+//!   tile, which is how the schedules map onto a real shared-memory
+//!   machine (the paper's "future work: implement all algorithms on
 //!   state-of-the-art multicore machines"). [`gemm_parallel`] and
-//!   [`gemm_parallel_with_plan`] are its fresh-product forms.
+//!   [`gemm_parallel_with_kernel`] are its fresh-product forms.
 //!
-//! Inside each work unit, every kernel variant runs one BLIS-style
-//! 5-loop macro-kernel:
+//! Inside each tile of the [`Tiling`], the executor runs the paper's
+//! Maximum Reuse schedule as Distributed Opt hands it to each core
+//! (§3.2, Algorithm 2): the tile is cut into near-equal `µ×µ` sub-tiles
+//! of `C` blocks, with `µ` the largest integer such that
+//! `1 + µ + µ² ≤ C_D` ([`crate::blocking::host_mu`]; smaller when the
+//! product has too few blocks to give every core a `µ×µ` share, see
+//! [`unit_mu`]). Each sub-tile is one work unit, and a unit runs
 //!
 //! ```text
-//! jc over NC columns of the tile          (B panel chosen)
-//!   pc over KC of k                       (B panel packed once, L3/L2)
-//!     ic over MC rows of the tile         (A block packed, L2)
-//!       jr over NR columns                (B micro-panel, L1)
-//!         ir over MR rows                 (register micro-kernel)
+//! k over the z block columns of A        (ascending)
+//!   i over the unit's block rows         (A[i,k] reused across j)
+//!     j over the unit's block columns    (B[k, j0..j0+µ] reused across i)
+//!       C[i,j] += A[i,k] × B[k,j]        (the variant's q×q block kernel)
 //! ```
 //!
-//! with `MC`/`KC`/`NC` supplied by [`crate::blocking`] — derived from the
-//! paper's footprint constraint per cache level, or pinned via
-//! `MMC_BLOCKING`. The packed `B` panel is built once per `(jc, pc)` and
-//! reused across the entire `ic` loop; `A` micro-panels are repacked per
-//! `MC` block, which is the macro-kernel's intended `⌈n/NC⌉`-fold `A`
-//! traffic (see `mmc_sim`'s five-loop traffic model).
+//! so its `µ²` `C` blocks stay in the core's private cache while one `A`
+//! block and a row of `µ` `B` blocks stream past them. The kernels read
+//! the block-major operands in place; nothing is packed.
 //!
 //! All executors accumulate each `C` block's contributions in ascending
 //! `k` order with one multiply-accumulate per step, so results are
-//! bit-identical across every path *and every blocking plan* of a given
+//! bit-identical across every path, tiling and thread count of a given
 //! variant — tests compare with `==`.
 
 use crate::blocking::{self, BlockingPlan};
@@ -137,8 +138,8 @@ pub struct Tiling {
     /// `C` tile columns.
     pub tile_n: u32,
     /// The paper's `k`-panel depth for this tiling (`β` for Tradeoff).
-    /// The executor's own `k` panels come from the [`BlockingPlan`]'s
-    /// `KC`; cost models that price a tiling read this depth.
+    /// The executor runs all of `k` inside each work unit; cost models
+    /// that price a tiling read this depth.
     pub tile_k: u32,
 }
 
@@ -169,27 +170,21 @@ impl Tiling {
     }
 }
 
-/// How [`gemm_into`] runs: which micro-kernel, under which blocking
-/// plan, and whether a job may cancel it.
+/// How [`gemm_into`] runs: which kernel, and whether a job may cancel it.
 #[derive(Clone, Copy, Debug)]
 pub struct GemmOpts<'a> {
-    /// Micro-kernel variant; it also fixes the register tile the panels
-    /// are packed for. A variant the CPU cannot run degrades to the
-    /// scalar kernel and tile, as [`kernel::block_fma_with`] does.
+    /// Block kernel variant. A variant the CPU cannot run degrades to
+    /// the scalar kernel, as [`kernel::block_fma_with`] does.
     pub variant: KernelVariant,
-    /// `MC`/`KC`/`NC` of the 5-loop macro-kernel. Results are
-    /// bit-identical across plans for a given variant.
-    pub plan: BlockingPlan,
-    /// Cooperative cancellation: every worker polls the token at its
-    /// `jc` macro-loop boundaries and bails within one macro-panel.
+    /// Cooperative cancellation: every worker polls the token before each
+    /// `k` step of its unit and bails within one step.
     pub cancel: Option<&'a CancelToken>,
 }
 
 impl GemmOpts<'_> {
-    /// The dispatched kernel variant under its active blocking plan for
-    /// `T` ([`blocking::active_plan`]), with no cancel token.
-    pub fn dispatched<T: Element>() -> GemmOpts<'static> {
-        GemmOpts { variant: kernel::variant(), plan: blocking::active_plan::<T>(), cancel: None }
+    /// The dispatched kernel variant, with no cancel token.
+    pub fn dispatched() -> GemmOpts<'static> {
+        GemmOpts { variant: kernel::variant(), cancel: None }
     }
 }
 
@@ -219,16 +214,14 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// `C += A × B` with rayon tasks over the work units of `tiling`-sized
-/// `C` tiles — the one GEMM entry point every caller goes through.
+/// `C += A × B` with rayon tasks over the `µ×µ` work units of
+/// `tiling`-sized `C` tiles — the one GEMM entry point every caller goes
+/// through.
 ///
-/// Each task computes one work unit completely (all `k` panels in
-/// ascending order): a `C` tile, or a row chunk of one when there are
-/// too few tiles to keep every thread busy (see `work_units`). This
-/// mirrors how the paper's algorithms hand each shared-cache tile to all
-/// cores, each owning its sub-blocks, so that each output block is
-/// written by exactly one core. Within a task the 5-loop macro-kernel
-/// runs under `opts.plan`.
+/// Each task computes one work unit completely (all of `k`, ascending;
+/// see the module docs), so each output block is written by exactly one
+/// core, as in the paper's algorithms. `µ` is [`blocking::host_mu`] for
+/// this block side and element type, capped by [`unit_mu`].
 ///
 /// Per `C` element the kernel sequence is one multiply-accumulate per
 /// ascending `k` step, starting from the element's value in `c`. So a
@@ -258,16 +251,19 @@ pub fn gemm_into<T: Element>(
         tiling.tile_m > 0 && tiling.tile_n > 0 && tiling.tile_k > 0,
         "tiling must be positive, got {tiling:?}"
     );
-    let units = work_units(a.rows(), b.cols(), tiling, rayon::current_num_threads());
+    let (m, n) = (a.rows(), b.cols());
+    let units = call_units::<T>(m, n, a.q(), tiling);
+    // The soundness of every `c_block_mut` below rests on this.
+    debug_assert!(covers_each_block_once(m, n, &units), "units must partition C");
     let cptr = SendPtr(c.data_mut().as_mut_ptr());
     // The caller's trace context, carried into the pool closures (worker
     // threads cannot see the caller's thread-local job).
     let job = span::current_job();
-    units.par_iter().for_each(|&unit| run_tile(a, b, cptr, opts, unit, job));
+    units.par_iter().for_each(|&unit| run_unit(a, b, cptr, opts, unit, job));
     !opts.cancel.is_some_and(CancelToken::is_cancelled)
 }
 
-/// `C = A × B` through the dispatched kernel and the active plan.
+/// `C = A × B` through the dispatched kernel.
 ///
 /// # Panics
 /// As [`gemm_into`].
@@ -276,10 +272,27 @@ pub fn gemm_parallel<T: Element>(
     b: &BlockMatrixOf<T>,
     tiling: Tiling,
 ) -> BlockMatrixOf<T> {
-    gemm_parallel_with_plan(a, b, tiling, kernel::variant(), blocking::active_plan::<T>())
+    gemm_parallel_with_kernel(a, b, tiling, kernel::variant())
 }
 
-/// `C = A × B` through an explicit kernel variant and blocking plan.
+/// `C = A × B` through an explicit kernel variant.
+///
+/// # Panics
+/// As [`gemm_into`].
+pub fn gemm_parallel_with_kernel<T: Element>(
+    a: &BlockMatrixOf<T>,
+    b: &BlockMatrixOf<T>,
+    tiling: Tiling,
+    variant: KernelVariant,
+) -> BlockMatrixOf<T> {
+    let mut c = BlockMatrixOf::zeros(a.rows(), b.cols(), a.q());
+    gemm_into(&mut c, a, b, tiling, &GemmOpts { variant, cancel: None });
+    c
+}
+
+/// [`gemm_parallel_with_kernel`] under its name from when the executor
+/// ran a 5-loop: `plan` is unused. Kept because the benchmark harness
+/// calls it by this name.
 ///
 /// # Panics
 /// As [`gemm_into`].
@@ -288,57 +301,97 @@ pub fn gemm_parallel_with_plan<T: Element>(
     b: &BlockMatrixOf<T>,
     tiling: Tiling,
     variant: KernelVariant,
-    plan: BlockingPlan,
+    _plan: BlockingPlan,
 ) -> BlockMatrixOf<T> {
-    let mut c = BlockMatrixOf::zeros(a.rows(), b.cols(), a.q());
-    gemm_into(&mut c, a, b, tiling, &GemmOpts { variant, plan, cancel: None });
-    c
+    gemm_parallel_with_kernel(a, b, tiling, variant)
 }
 
-/// The work units a `threads`-way parallel call runs: the `tiling`'s `C`
-/// tiles, each split into near-equal row chunks of at most about
-/// `1/(2·threads)` of the product's blocks, largest first.
+/// The sub-tile side [`gemm_into`] cuts an `m×n` grid of `q×q` blocks
+/// of `T` by on the current pool: the host's `µ`
+/// ([`blocking::host_mu`]), capped at `⌊√(m·n/threads)⌋` (and at least
+/// 1) when the grid is too small to give every thread a `µ×µ` unit.
+pub fn unit_mu<T: Element>(m: u32, n: u32, q: usize) -> u32 {
+    cap_mu(m, n, blocking::host_mu::<T>(q), rayon::current_num_threads())
+}
+
+/// `mu`, capped at `⌊√(m·n/threads)⌋` (and at least 1), so that every
+/// one of `threads` cores gets at least one unit whenever the grid has
+/// that many blocks.
 ///
-/// This is the paper's per-core share of a shared-cache tile: every core
-/// works on each big tile, so a one-tile product or a ragged edge no
-/// longer leaves cores idle. Each unit still covers whole `C` blocks
-/// through all of `k`, so the per-element accumulation order — and every
-/// result bit — is the same as one task per tile. About two units per
-/// thread keeps the dynamic claim order balanced without duplicating
-/// much `B` packing (each chunk packs its tile's `B` panels itself). A
-/// single thread runs the tiles as they are.
-pub(crate) fn work_units(
-    m: u32,
-    n: u32,
-    tiling: Tiling,
-    threads: usize,
-) -> Vec<(u32, u32, u32, u32)> {
-    let tiles = enumerate_tiles(m, n, tiling);
-    if threads <= 1 {
-        return tiles;
-    }
-    let area = |&(_, th, _, tw): &(u32, u32, u32, u32)| th as u64 * tw as u64;
-    let total: u64 = tiles.iter().map(area).sum();
-    let target = total.div_ceil(2 * threads as u64).max(1);
-    let mut units = Vec::with_capacity(tiles.len());
-    for tile @ (i0, th, j0, tw) in tiles {
-        let chunks = area(&tile).div_ceil(target).min(th as u64) as u32;
-        let (base, extra) = (th / chunks, th % chunks);
-        let mut r = i0;
-        for c in 0..chunks {
-            let rows = base + u32::from(c < extra);
-            units.push((r, rows, j0, tw));
-            r += rows;
+/// Distributed Opt gives each of its `p` cores a `µ×µ` sub-tile of every
+/// `√p·µ`-sided shared tile; the paper's `µ` is the largest sub-tile that
+/// fits `C_D`, and any smaller one fits too. The cap changes only which
+/// blocks share a unit, never a `C` element's `k` order.
+fn cap_mu(m: u32, n: u32, mu: u32, threads: usize) -> u32 {
+    let per_thread = (m as f64 * n as f64 / threads.max(1) as f64).sqrt() as u32;
+    mu.min(per_thread).max(1)
+}
+
+/// The work units [`gemm_into`] runs for an `m×n` grid of `q×q` blocks
+/// of `T` on the current pool.
+pub(crate) fn call_units<T: Element>(m: u32, n: u32, q: usize, tiling: Tiling) -> Vec<Unit> {
+    block_units(m, n, tiling, unit_mu::<T>(m, n, q))
+}
+
+/// One work unit: `(i0, rows, j0, cols)` in blocks of `C`.
+pub(crate) type Unit = (u32, u32, u32, u32);
+
+/// The work units of an `m×n` block grid: every `tiling` tile cut into
+/// `⌈th/µ⌉×⌈tw/µ⌉` near-equal sub-tiles (a 40-block side at `µ = 7`
+/// cuts as 7,7,7,7,6,6, never 7,…,7,5), largest first.
+///
+/// Each unit is one core's `µ×µ` share of a shared-cache tile in
+/// Distributed Opt. Each covers whole `C` blocks through all of `k`, so
+/// the result bits depend neither on `µ` nor on how the pool claims the
+/// units. Largest first makes greedy claiming approximate a
+/// longest-processing-time schedule, so a small edge unit finishes the
+/// call. A `µ` of 0 counts as 1.
+pub(crate) fn block_units(m: u32, n: u32, tiling: Tiling, mu: u32) -> Vec<Unit> {
+    let mu = mu.max(1);
+    let mut units = Vec::new();
+    for (i0, th, j0, tw) in enumerate_tiles(m, n, tiling) {
+        for (i, h) in near_equal_parts(i0, th, mu) {
+            units.extend(near_equal_parts(j0, tw, mu).map(|(j, w)| (i, h, j, w)));
         }
     }
-    // Largest first: greedy claiming then approximates a longest-
-    // processing-time schedule, so a small edge unit finishes the call.
-    units.sort_by_key(|u| std::cmp::Reverse(area(u)));
+    units.sort_by_key(|&(_, h, _, w)| std::cmp::Reverse(h as u64 * w as u64));
     units
 }
 
+/// `len` blocks from `start` cut into `⌈len/mu⌉` parts whose lengths
+/// differ by at most one, longer parts first: `(start, length)` each.
+fn near_equal_parts(start: u32, len: u32, mu: u32) -> impl Iterator<Item = (u32, u32)> {
+    let parts = len.div_ceil(mu);
+    let (base, extra) = (len / parts, len % parts);
+    (0..parts).scan(start, move |at, p| {
+        let part = (*at, base + u32::from(p < extra));
+        *at += part.1;
+        Some(part)
+    })
+}
+
+/// Whether `units` cover every block of an `m×n` grid exactly once — the
+/// disjointness that makes the shared `C` pointer sound.
+pub(crate) fn covers_each_block_once(m: u32, n: u32, units: &[Unit]) -> bool {
+    let mut hits = vec![0u8; m as usize * n as usize];
+    for &(i0, th, j0, tw) in units {
+        if th == 0 || tw == 0 || i0 + th > m || j0 + tw > n {
+            return false;
+        }
+        for i in i0..i0 + th {
+            for hit in &mut hits[(i * n + j0) as usize..(i * n + j0 + tw) as usize] {
+                *hit += 1;
+                if *hit > 1 {
+                    return false;
+                }
+            }
+        }
+    }
+    hits.iter().all(|&h| h == 1)
+}
+
 /// Tile decomposition of an `m×n` block grid (clamped at the edges).
-fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> {
+fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<Unit> {
     let mut tiles = Vec::new();
     let mut i0 = 0;
     while i0 < m {
@@ -354,31 +407,39 @@ fn enumerate_tiles(m: u32, n: u32, tiling: Tiling) -> Vec<(u32, u32, u32, u32)> 
     tiles
 }
 
-/// Compute one work unit — a `C` tile or a row chunk of one — completely
-/// (all `k` panels in ascending order) through the packed 5-loop path,
-/// then charge its FLOPs and emit its tile span.
-fn run_tile<T: Element>(
+/// Compute one work unit completely — `k` ascending, then the unit's
+/// block rows and columns, one block kernel per `(i, j, k)` — then
+/// charge its FLOPs and emit its tile span.
+fn run_unit<T: Element>(
     a: &BlockMatrixOf<T>,
     b: &BlockMatrixOf<T>,
     cptr: SendPtr<T>,
     opts: &GemmOpts<'_>,
-    tile: (u32, u32, u32, u32),
+    unit: Unit,
     job: u64,
 ) {
-    if opts.cancel.is_some_and(CancelToken::is_cancelled) {
-        return;
-    }
     let start = if span::enabled() { span::now_ns() } else { 0 };
-    run_tile_packed(a, b, cptr, opts, tile, job);
-    if opts.cancel.is_some_and(CancelToken::is_cancelled) {
-        // A cancelled tile did partial (discarded) work — keep the FLOP
-        // counters honest by not charging the full tile.
-        return;
+    let (i0, th, j0, tw) = unit;
+    let q = a.q();
+    let ncols = b.cols() as usize;
+    for k in 0..a.cols() {
+        if opts.cancel.is_some_and(CancelToken::is_cancelled) {
+            // A cancelled unit did partial (discarded) work — keep the
+            // FLOP counters honest by not charging it.
+            return;
+        }
+        for i in i0..i0 + th {
+            let ablk = a.block(i, k);
+            for j in j0..j0 + tw {
+                // SAFETY: see `c_block_mut` — (i, j) lies in this unit.
+                let cblk = unsafe { c_block_mut(cptr, ncols, q * q, i, j) };
+                kernel::block_fma_with(opts.variant, cblk, ablk, b.block(k, j), q);
+            }
+        }
     }
-    // One relaxed add per *tile* (not per block): th·tw C blocks each
+    // One relaxed add per unit (not per block): th·tw C blocks each
     // accumulate z block FMAs of 2q³ FLOPs.
-    let (i0, th, j0, tw) = tile;
-    let q = a.q() as u64;
+    let q = q as u64;
     let flops = 2 * q * q * q * th as u64 * tw as u64 * a.cols() as u64;
     crate::metrics::flops(opts.variant).add(flops);
     crate::metrics::tiles(opts.variant).add(1);
@@ -402,13 +463,13 @@ fn worker_thread() -> Option<u32> {
     rayon::current_thread_index().map(|t| t as u32)
 }
 
-/// Mutable view of `C` block `(i, j)` through the shared tile pointer.
+/// Mutable view of `C` block `(i, j)` through the shared `C` pointer.
 ///
 /// # Safety
 /// Block `(i, j)` must belong to the caller's unit — units partition the
-/// `(i, j)` index grid and each unit is processed by exactly one task, so
-/// the slice is never aliased. The offset is in bounds for `i < m`,
-/// `j < n`.
+/// `(i, j)` index grid ([`covers_each_block_once`], checked in debug
+/// builds) and each unit is processed by exactly one task, so the slice
+/// is never aliased. The offset is in bounds for `i < m`, `j < n`.
 #[inline]
 unsafe fn c_block_mut<'c, T>(
     cptr: SendPtr<T>,
@@ -418,145 +479,6 @@ unsafe fn c_block_mut<'c, T>(
     j: u32,
 ) -> &'c mut [T] {
     std::slice::from_raw_parts_mut(cptr.get().add((i as usize * ncols + j as usize) * q2), q2)
-}
-
-/// The 5-loop macro-kernel over one `C` tile.
-///
-/// Loop order is `jc` (NC) → `pc` (KC) → `ic` (MC) → register tiles:
-/// `B[k panel, jc columns]` is packed **once** per `(jc, pc)` and reused
-/// across the whole `ic` loop; `A[ic rows, k panel]` is packed per `MC`
-/// block. The plan's element counts convert to whole-block loop steps
-/// (at least one block each, clamped to the tile), so a plan finer than
-/// one block degenerates to the block-at-a-time schedule.
-///
-/// For a fixed `C` block the `pc` loop is the only loop that revisits it,
-/// in ascending `k` — panel boundaries never reorder or re-associate the
-/// per-element accumulation, which keeps results bit-identical across
-/// plans and to the unpacked block kernel of the same variant.
-fn run_tile_packed<T: Element>(
-    a: &BlockMatrixOf<T>,
-    b: &BlockMatrixOf<T>,
-    cptr: SendPtr<T>,
-    opts: &GemmOpts<'_>,
-    (i0, th, j0, tw): (u32, u32, u32, u32),
-    job: u64,
-) {
-    let (plan, v, z) = (opts.plan, opts.variant, a.cols());
-    let q = a.q();
-    let q2 = q * q;
-    let ncols = b.cols() as usize;
-    let nc_b = ((plan.nc / q).max(1) as u32).min(tw);
-    let kc_b = ((plan.kc / q).max(1) as u32).min(z);
-    let mc_b = ((plan.mc / q).max(1) as u32).min(th);
-    let tracing = span::enabled();
-    let es = std::mem::size_of::<T>() as u64;
-    let q3_2 = 2 * (q as u64).pow(3);
-    kernel::pack::with_arena::<T, _>(|arena| {
-        let mut jc = 0;
-        while jc < tw {
-            if opts.cancel.is_some_and(CancelToken::is_cancelled) {
-                return;
-            }
-            let jw = nc_b.min(tw - jc);
-            let jc_start = if tracing { span::now_ns() } else { 0 };
-            let mut k0 = 0;
-            while k0 < z {
-                let kb = kc_b.min(z - k0);
-                let kc = kb as usize * q;
-                let pc_start = if tracing { span::now_ns() } else { 0 };
-                kernel::pack::pack_b_panel_for(v, &mut arena.b, b, j0 + jc, jw, k0, kb);
-                let a_stride = kernel::pack::a_panel_stride::<T>(v, q, kc);
-                let b_stride = kernel::pack::b_panel_stride::<T>(v, q, kc);
-                if tracing {
-                    // pred = logical panel bytes, val = padded packed
-                    // bytes actually written (stride includes edge pad).
-                    span::emit(
-                        job,
-                        SpanKind::PackB,
-                        worker_thread(),
-                        pc_start,
-                        span::now_ns().saturating_sub(pc_start),
-                        jw as u64 * kb as u64 * q2 as u64 * es,
-                        jw as u64 * b_stride as u64 * es,
-                        [j0 + jc, jw, k0, kb],
-                    );
-                }
-                let pc_body = if tracing { span::now_ns() } else { 0 };
-                let mut ic = 0;
-                while ic < th {
-                    let ih = mc_b.min(th - ic);
-                    let pack_a_start = if tracing { span::now_ns() } else { 0 };
-                    kernel::pack::pack_a_panel_for(v, &mut arena.a, a, i0 + ic, ih, k0, kb);
-                    if tracing {
-                        span::emit(
-                            job,
-                            SpanKind::PackA,
-                            worker_thread(),
-                            pack_a_start,
-                            span::now_ns().saturating_sub(pack_a_start),
-                            ih as u64 * kb as u64 * q2 as u64 * es,
-                            ih as u64 * a_stride as u64 * es,
-                            [i0 + ic, ih, k0, kb],
-                        );
-                    }
-                    let ic_start = if tracing { span::now_ns() } else { 0 };
-                    for bj in 0..jw {
-                        let bpack = &arena.b[bj as usize * b_stride..][..b_stride];
-                        for bi in 0..ih {
-                            let apack = &arena.a[bi as usize * a_stride..][..a_stride];
-                            // SAFETY: see `c_block_mut` — (i0+ic+bi,
-                            // j0+jc+bj) is owned by this unit.
-                            let cblk =
-                                unsafe { c_block_mut(cptr, ncols, q2, i0 + ic + bi, j0 + jc + bj) };
-                            kernel::packed::block_mul_packed(v, cblk, q, kc, apack, bpack);
-                        }
-                    }
-                    if tracing {
-                        let flops = q3_2 * ih as u64 * jw as u64 * kb as u64;
-                        span::emit(
-                            job,
-                            SpanKind::LoopIc,
-                            worker_thread(),
-                            ic_start,
-                            span::now_ns().saturating_sub(ic_start),
-                            flops,
-                            flops,
-                            [i0 + ic, ih, j0 + jc, jw],
-                        );
-                    }
-                    ic += ih;
-                }
-                if tracing {
-                    let flops = q3_2 * th as u64 * jw as u64 * kb as u64;
-                    span::emit(
-                        job,
-                        SpanKind::LoopPc,
-                        worker_thread(),
-                        pc_body,
-                        span::now_ns().saturating_sub(pc_body),
-                        flops,
-                        flops,
-                        [j0 + jc, jw, k0, kb],
-                    );
-                }
-                k0 += kb;
-            }
-            if tracing {
-                let flops = q3_2 * th as u64 * jw as u64 * z as u64;
-                span::emit(
-                    job,
-                    SpanKind::LoopJc,
-                    worker_thread(),
-                    jc_start,
-                    span::now_ns().saturating_sub(jc_start),
-                    flops,
-                    flops,
-                    [i0, th, j0 + jc, jw],
-                );
-            }
-            jc += jw;
-        }
-    });
 }
 
 #[cfg(test)]
@@ -569,17 +491,7 @@ mod tests {
         (BlockMatrix::pseudo_random(m, z, q, 11), BlockMatrix::pseudo_random(z, n, q, 22))
     }
 
-    /// A fresh product through variant `v` under the active plan.
-    fn with_kernel<T: Element>(
-        a: &BlockMatrixOf<T>,
-        b: &BlockMatrixOf<T>,
-        tiling: Tiling,
-        v: KernelVariant,
-    ) -> BlockMatrixOf<T> {
-        gemm_parallel_with_plan(a, b, tiling, v, blocking::active_plan::<T>())
-    }
-
-    /// `c += a × b` through variant `v` under the active plan.
+    /// `c += a × b` through variant `v`.
     fn accumulate<T: Element>(
         c: &mut BlockMatrixOf<T>,
         a: &BlockMatrixOf<T>,
@@ -587,13 +499,7 @@ mod tests {
         tiling: Tiling,
         v: KernelVariant,
     ) {
-        assert!(gemm_into(
-            c,
-            a,
-            b,
-            tiling,
-            &GemmOpts { variant: v, ..GemmOpts::dispatched::<T>() }
-        ));
+        assert!(gemm_into(c, a, b, tiling, &GemmOpts { variant: v, cancel: None }));
     }
 
     fn one_thread() -> rayon::ThreadPool {
@@ -644,8 +550,8 @@ mod tests {
         }
     }
 
-    /// Every CPU-supported kernel variant, through both the packed
-    /// parallel path and the blockwise naive oracle, computes the same
+    /// Every CPU-supported kernel variant, through both the parallel
+    /// block path and the blockwise naive oracle, computes the same
     /// product (tolerance across variants — fused vs unfused rounding —
     /// and bit-exact against the oracle for the dispatched variant,
     /// which `parallel_tilings_match_oracle` already pins down).
@@ -658,7 +564,7 @@ mod tests {
                 Tiling { tile_m: 3, tile_n: 2, tile_k: 2 },
                 Tiling { tile_m: 8, tile_n: 8, tile_k: 1 },
             ] {
-                let c = with_kernel(&a, &b, tiling, v);
+                let c = gemm_parallel_with_kernel(&a, &b, tiling, v);
                 assert!(
                     c.max_abs_diff(&oracle) < 1e-10,
                     "variant {v} tiling {tiling:?} diverges: {}",
@@ -680,8 +586,7 @@ mod tests {
     /// Ragged shapes for every variant: a `k` extent the tile depth does
     /// not divide (`tile_k = 4`, `z = 10`) and block sides that are not
     /// multiples of the register tile (`MR = 6`, `NR = 8` for f64), so
-    /// every edge micro-kernel and the clipped final `k` panel are
-    /// exercised. A variant that rounds like the oracle must match it
+    /// every edge of the block kernels is exercised. A variant that rounds like the oracle must match it
     /// bitwise; fused against unfused gets a tolerance.
     #[test]
     fn ragged_shapes_match_oracle_for_every_variant() {
@@ -690,7 +595,7 @@ mod tests {
             let oracle = gemm_naive(&a, &b);
             for v in kernel::variants_available() {
                 let tiling = Tiling { tile_m: 4, tile_n: 5, tile_k: 4 };
-                let c = with_kernel(&a, &b, tiling, v);
+                let c = gemm_parallel_with_kernel(&a, &b, tiling, v);
                 if rounds_like_oracle(v) {
                     assert_eq!(c, oracle, "variant {v} q={q}");
                 } else {
@@ -704,66 +609,6 @@ mod tests {
         }
     }
 
-    /// The blocking plan moves macro-loop boundaries, never the
-    /// per-element accumulation order: any two plans — including
-    /// degenerate one-block steps and steps larger than the whole tile —
-    /// produce bit-identical products for every variant.
-    #[test]
-    fn five_loop_results_are_invariant_across_blocking_plans() {
-        for q in [4usize, 7] {
-            let (a, b) = operands(9, 8, 11, q);
-            let tiling = Tiling { tile_m: 5, tile_n: 6, tile_k: 3 };
-            for v in kernel::variants_available() {
-                let baseline = gemm_parallel_with_plan(
-                    &a,
-                    &b,
-                    tiling,
-                    v,
-                    BlockingPlan { mc: 1, kc: 1, nc: 1 },
-                );
-                for plan in [
-                    BlockingPlan { mc: 2 * q, kc: 3 * q, nc: 2 * q },
-                    BlockingPlan { mc: q, kc: 5 * q, nc: 1000 * q },
-                    BlockingPlan { mc: 1000, kc: 1000, nc: 1000 },
-                    blocking::active_plan::<f64>(),
-                ] {
-                    let c = gemm_parallel_with_plan(&a, &b, tiling, v, plan);
-                    assert_eq!(c, baseline, "variant {v} q={q} plan {plan:?}");
-                }
-            }
-        }
-    }
-
-    /// Two products with *different* block sides on the same worker
-    /// thread: the thread-local [`kernel::pack::PackArena`] keeps its
-    /// buffers between calls, so the second product packs into vectors
-    /// still holding the first product's (larger or smaller) panels. A
-    /// stale-length bug would feed leftover elements of the old `q` into
-    /// the micro-kernels; both orders (shrinking and growing `q`) must
-    /// still match the oracle.
-    #[test]
-    fn arena_reuse_across_block_sides_stays_correct() {
-        for v in kernel::variants_available() {
-            let check = |q: usize| {
-                let (a, b) = operands(5, 4, 7, q);
-                let oracle = gemm_naive(&a, &b);
-                let tiling = Tiling { tile_m: 3, tile_n: 2, tile_k: 3 };
-                let c = with_kernel(&a, &b, tiling, v);
-                if rounds_like_oracle(v) {
-                    assert_eq!(c, oracle, "variant {v} q={q}");
-                } else {
-                    assert!(c.max_abs_diff(&oracle) < 1e-10, "variant {v} q={q}");
-                }
-            };
-            // One worker thread → one arena reused by every product.
-            one_thread().install(|| {
-                check(13); // large, ragged q seeds the arena
-                check(5); // shrink: stale tail beyond the new panels
-                check(16); // grow back past the original length
-            });
-        }
-    }
-
     /// Accumulating a product one `k` panel at a time is bit-identical to
     /// the one-shot parallel product for every variant — the invariant the
     /// out-of-core executor's streaming loop relies on.
@@ -773,7 +618,7 @@ mod tests {
             let (a, b) = operands(6, 5, 9, q);
             for v in kernel::variants_available() {
                 let tiling = Tiling { tile_m: 3, tile_n: 4, tile_k: 2 };
-                let oracle = with_kernel(&a, &b, tiling, v);
+                let oracle = gemm_parallel_with_kernel(&a, &b, tiling, v);
                 let mut c = BlockMatrix::zeros(6, 5, q);
                 let mut k0 = 0;
                 while k0 < 9 {
@@ -798,7 +643,12 @@ mod tests {
         let a32 = BlockMatrixOf::<f32>::pseudo_random(6, 7, 9, 11);
         let b32 = BlockMatrixOf::<f32>::pseudo_random(7, 5, 9, 22);
         for v in kernel::variants_available() {
-            let c = with_kernel(&a32, &b32, Tiling { tile_m: 3, tile_n: 2, tile_k: 2 }, v);
+            let c = gemm_parallel_with_kernel(
+                &a32,
+                &b32,
+                Tiling { tile_m: 3, tile_n: 2, tile_k: 2 },
+                v,
+            );
             // pseudo_random narrows the same f64 stream, so the f32
             // product approximates the f64 oracle to f32 accuracy. The
             // stream is in [0,1): accumulated dot products of length 63
@@ -834,22 +684,15 @@ mod tests {
         let (a, b) = operands(9, 7, 5, 4);
         let oracle = gemm_naive(&a, &b);
         let tiling = Tiling { tile_m: 4, tile_n: 3, tile_k: 2 };
-        let (c, run) = crate::tracing::run_traced(
-            &a,
-            &b,
-            tiling,
-            kernel::variant(),
-            blocking::active_plan::<f64>(),
-        );
+        let (c, run) = crate::tracing::run_traced(&a, &b, tiling, kernel::variant());
         assert_eq!(c, oracle);
         if !span::enabled() {
             return;
         }
-        // One tile span per work unit: the 3×3 tiles, split into row
-        // chunks when the host has many threads; units partition the 9×7
-        // grid.
+        // One tile span per work unit: the 3×3 tiles, cut into µ×µ
+        // sub-tiles; units partition the 9×7 grid.
         let tiles: Vec<_> = run.spans.iter().filter(|s| s.kind == SpanKind::Tile).collect();
-        let units = work_units(9, 7, tiling, rayon::current_num_threads()).len();
+        let units = call_units::<f64>(9, 7, 4, tiling).len();
         assert!(units >= 3 * 3);
         assert_eq!(tiles.len(), units);
         let covered: u64 = tiles.iter().map(|s| s.args[1] as u64 * s.args[3] as u64).sum();
@@ -859,76 +702,78 @@ mod tests {
         assert!(tiles.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
     }
 
-    /// Every `(threads, shape, tiling)` the split tests sweep: one-tile
-    /// products, equal tile grids, ragged edges and degenerate tilings.
-    fn split_cases() -> Vec<(usize, u32, u32, Tiling)> {
-        let sq = |t: u32| Tiling { tile_m: t, tile_n: t, tile_k: 1 };
-        let mut cases = Vec::new();
-        for threads in [1, 2, 3, 4, 8] {
-            for (m, n, tiling) in [
-                (16, 16, sq(16)),
-                (24, 24, sq(16)),
-                (40, 40, sq(16)),
-                (20, 20, sq(16)),
-                (32, 32, sq(16)),
-                (9, 7, Tiling { tile_m: 4, tile_n: 3, tile_k: 2 }),
-                (5, 30, sq(30)),
-                (1, 1, sq(1)),
-                (13, 7, sq(64)),
-            ] {
-                cases.push((threads, m, n, tiling));
-            }
-        }
-        cases
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn work_units_partition_every_c_block_exactly_once() {
-        for (threads, m, n, tiling) in split_cases() {
-            let mut hits = vec![0u32; (m * n) as usize];
-            for (i0, th, j0, tw) in work_units(m, n, tiling, threads) {
-                assert!(th > 0 && tw > 0 && th <= tiling.tile_m && tw <= tiling.tile_n);
-                for i in i0..i0 + th {
-                    for j in j0..j0 + tw {
-                        hits[(i * n + j) as usize] += 1;
-                    }
-                }
+        /// For any ragged grid, tiling and `µ ≥ 1`, the units cover every
+        /// `C` block exactly once and none is larger than `µ×µ` or its
+        /// tile — the disjointness `SendPtr` relies on.
+        #[test]
+        fn block_units_partition_every_c_block_exactly_once(
+            m in 1u32..60,
+            n in 1u32..60,
+            tm in 1u32..40,
+            tn in 1u32..40,
+            mu in 1u32..20,
+        ) {
+            let tiling = Tiling { tile_m: tm, tile_n: tn, tile_k: 1 };
+            let units = block_units(m, n, tiling, mu);
+            proptest::prop_assert!(covers_each_block_once(m, n, &units));
+            for &(_, h, _, w) in &units {
+                proptest::prop_assert!(h <= mu.min(tm) && w <= mu.min(tn));
             }
-            assert!(hits.iter().all(|&h| h == 1), "{threads} threads, {m}x{n}, {tiling:?}");
+            let area = |u: &Unit| u.1 as u64 * u.3 as u64;
+            proptest::prop_assert!(units.windows(2).all(|w| area(&w[0]) >= area(&w[1])));
         }
     }
 
     #[test]
-    fn work_units_are_near_equal_when_tile_rows_allow_it() {
-        let mut checked = 0;
-        for (threads, m, n, tiling) in split_cases() {
-            let tiles = enumerate_tiles(m, n, tiling);
-            let units = work_units(m, n, tiling, threads);
-            if threads == 1 {
-                assert_eq!(units, tiles, "one thread runs the tiles as they are");
-                continue;
-            }
-            // Rows allow a near-equal split when every tile has the same
-            // shape and at least four rows per chunk, or rows divide evenly.
-            let chunks = units.len() / tiles.len();
-            let th = tiles[0].1;
-            let uniform = tiles.iter().all(|t| (t.1, t.3) == (tiles[0].1, tiles[0].3))
-                && units.len().is_multiple_of(tiles.len());
-            if !(uniform && (th.is_multiple_of(chunks as u32) || th >= 4 * chunks as u32)) {
-                continue;
-            }
-            let work: Vec<f64> = units.iter().map(|u| (u.1 * u.3) as f64).collect();
-            let max = work.iter().cloned().fold(0.0, f64::max);
-            let mean = work.iter().sum::<f64>() / work.len() as f64;
-            assert!(max / mean <= 1.25, "{threads} threads, {m}x{n}: max/mean {}", max / mean);
-            // About two units per thread, as far as the rows go.
-            assert!(units.len() >= (2 * threads).min(tiles.len() * th as usize));
-            checked += 1;
+    fn small_grids_shrink_mu_so_every_thread_gets_a_unit() {
+        // Big grids keep the host µ.
+        assert_eq!(cap_mu(40, 40, 7, 2), 7);
+        assert_eq!(cap_mu(16, 16, 7, 2), 7);
+        // A 6×6 grid on two threads: ⌊√18⌋ = 4, so 2×2 units of 3×3.
+        assert_eq!(cap_mu(6, 6, 7, 2), 4);
+        let whole = Tiling { tile_m: 6, tile_n: 6, tile_k: 1 };
+        assert_eq!(block_units(6, 6, whole, 4).len(), 4);
+        // One thread, or fewer blocks than threads, never goes below 1.
+        assert_eq!(cap_mu(6, 6, 7, 1), 6);
+        assert_eq!(cap_mu(1, 1, 7, 4), 1);
+        assert_eq!(cap_mu(3, 3, 0, 1), 1);
+        for (m, n, threads) in [(6, 6, 2), (3, 5, 4), (9, 2, 3), (2, 2, 4), (24, 7, 8)] {
+            let whole = Tiling { tile_m: m, tile_n: n, tile_k: 1 };
+            let units = block_units(m, n, whole, cap_mu(m, n, 64, threads));
+            assert!(units.len() >= threads.min((m * n) as usize), "{m}x{n} on {threads}");
         }
-        assert!(checked >= 10, "only {checked} cases exercised the bound");
     }
 
-    /// The split moves unit boundaries, never the per-element `k` order:
+    #[test]
+    fn coverage_check_rejects_gaps_overlaps_and_overhangs() {
+        assert!(covers_each_block_once(2, 2, &[(0, 2, 0, 2)]));
+        assert!(!covers_each_block_once(2, 2, &[(0, 1, 0, 2)]), "gap");
+        assert!(!covers_each_block_once(2, 2, &[(0, 2, 0, 2), (1, 1, 1, 1)]), "overlap");
+        assert!(!covers_each_block_once(2, 2, &[(0, 2, 0, 3)]), "overhang");
+        assert!(!covers_each_block_once(2, 2, &[(0, 2, 0, 2), (0, 0, 0, 1)]), "empty unit");
+    }
+
+    #[test]
+    fn tiles_cut_into_near_equal_parts_longest_first() {
+        let parts = |len, mu| near_equal_parts(0, len, mu).map(|p| p.1).collect::<Vec<_>>();
+        assert_eq!(parts(40, 7), [7, 7, 7, 7, 6, 6]);
+        assert_eq!(parts(16, 7), [6, 5, 5]);
+        assert_eq!(parts(7, 7), [7]);
+        assert_eq!(parts(3, 7), [3]);
+        assert_eq!(parts(5, 1), [1, 1, 1, 1, 1]);
+        // A 16×16 tile at µ = 7 is nine units, 6×6 first.
+        let whole = Tiling { tile_m: 16, tile_n: 16, tile_k: 1 };
+        let units = block_units(16, 16, whole, 7);
+        assert_eq!(units.len(), 9);
+        assert_eq!(units[0], (0, 6, 0, 6));
+        // µ = 0 is treated as 1 rather than dividing by zero.
+        assert_eq!(block_units(2, 3, whole, 0).len(), 6);
+    }
+
+    /// Claim order moves between threads, never the per-element `k` order:
     /// a four-thread run is bit-identical to the single-thread pool for a
     /// one-tile product and a ragged panel accumulation, in f64 and f32.
     #[test]
@@ -938,12 +783,11 @@ mod tests {
             let single = one_thread();
             let tiling = Tiling { tile_m: 16, tile_n: 16, tile_k: 1 };
             for v in kernel::variants_available() {
-                // One 16×16-block tile: split into row chunks on 4 threads.
+                // One 16×16-block tile, cut into µ×µ units.
                 let a = BlockMatrixOf::<T>::pseudo_random(16, 16, 8, 41);
                 let b = BlockMatrixOf::<T>::pseudo_random(16, 16, 8, 42);
-                let plan = blocking::active_plan::<T>();
-                let one = single.install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
-                let split = four.install(|| gemm_parallel_with_plan(&a, &b, tiling, v, plan));
+                let one = single.install(|| gemm_parallel_with_kernel(&a, &b, tiling, v));
+                let split = four.install(|| gemm_parallel_with_kernel(&a, &b, tiling, v));
                 assert!(split == one, "variant {v}: one-tile product");
 
                 // A ragged 20×20-block panel under 16×16 tiling, into a
@@ -977,12 +821,12 @@ mod tests {
         let tiling = Tiling { tile_m: 2, tile_n: 2, tile_k: 2 };
         let token = CancelToken::new();
         token.cancel();
-        let cancelled = GemmOpts { cancel: Some(&token), ..GemmOpts::dispatched::<f64>() };
+        let cancelled = GemmOpts { cancel: Some(&token), ..GemmOpts::dispatched() };
         let mut c = BlockMatrix::zeros(6, 6, 4);
         assert!(!gemm_into(&mut c, &a, &b, tiling, &cancelled));
         // The same rayon pool immediately serves the next (live) job.
         let live = CancelToken::new();
-        let opts = GemmOpts { cancel: Some(&live), ..GemmOpts::dispatched::<f64>() };
+        let opts = GemmOpts { cancel: Some(&live), ..GemmOpts::dispatched() };
         let mut c = BlockMatrix::zeros(6, 6, 4);
         assert!(gemm_into(&mut c, &a, &b, tiling, &opts), "uncancelled job completes");
         assert_eq!(c, gemm_naive(&a, &b));
@@ -992,7 +836,6 @@ mod tests {
     fn uncancelled_cancellable_run_is_bit_identical_to_plain_run() {
         let (a, b) = operands(7, 5, 6, 4);
         let tiling = Tiling { tile_m: 3, tile_n: 2, tile_k: 2 };
-        let plan = blocking::active_plan::<f64>();
         for v in kernel::variants_available() {
             let token = CancelToken::new();
             let mut c = BlockMatrix::zeros(7, 5, 4);
@@ -1001,9 +844,9 @@ mod tests {
                 &a,
                 &b,
                 tiling,
-                &GemmOpts { variant: v, plan, cancel: Some(&token) }
+                &GemmOpts { variant: v, cancel: Some(&token) }
             ));
-            assert_eq!(c, gemm_parallel_with_plan(&a, &b, tiling, v, plan), "variant {v}");
+            assert_eq!(c, gemm_parallel_with_kernel(&a, &b, tiling, v), "variant {v}");
         }
     }
 }

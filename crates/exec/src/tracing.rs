@@ -1,20 +1,17 @@
 //! Job-scoped trace capture over the executors, plus the exec-side
 //! drift model.
 //!
-//! [`run_traced`] wraps [`gemm_parallel_with_plan`]: it opens a fresh
-//! trace job in [`mmc_obs::span`], runs the product (every 5-loop
-//! macro-step and pack emits into its thread's lock-free ring), and
-//! collects the job's spans back out. The result is a [`TracedRun`] —
-//! the raw material for two consumers:
+//! [`run_traced`] wraps [`gemm_parallel_with_kernel`]: it opens a fresh
+//! trace job in [`mmc_obs::span`], runs the product (every work unit
+//! emits one `tile` span into its thread's lock-free ring), and collects
+//! the job's spans back out. The result is a [`TracedRun`] — the raw
+//! material for two consumers:
 //!
 //! * [`spans_to_chrome`] — a Perfetto/Chrome trace with one lane per
 //!   `(loop level, thread)` pair, using the **process-wide** trace
 //!   epoch so exec and ooc traces merge coherently into one timeline;
-//! * [`exec_drift`] — a [`DriftReport`] holding each loop level and
-//!   pack phase against the paper's closed forms: FLOP phases against
-//!   the kernel's roofline peak, pack phases against the five-loop
-//!   traffic terms `m·z·⌈n/NC⌉` (A repacked per `jc` pass) and `z·n`
-//!   (B packed once), priced at measured STREAM bandwidth.
+//! * [`exec_drift`] — a [`DriftReport`] holding the summed `tile` span
+//!   time against the product's FLOPs at the kernel's roofline peak.
 //!
 //! [`ExecModel::for_run`] prices every run at the host's rates from
 //! [`mmc_obs::host_roofs`], which measures STREAM bandwidth and the clock
@@ -23,11 +20,10 @@
 //! measurement only at start-up. Every run in a process is priced at the
 //! same roofs, so drift ratios of different runs compare directly.
 
-use crate::blocking::BlockingPlan;
 use crate::kernel::elem::Element;
 use crate::kernel::KernelVariant;
 use crate::matrix::BlockMatrixOf;
-use crate::runner::{gemm_parallel_with_plan, work_units, Tiling};
+use crate::runner::{gemm_parallel_with_kernel, Tiling};
 use mmc_obs::span::{self, SpanKind, SpanRecord};
 use mmc_obs::{DriftReport, PhaseSample};
 use mmc_sim::ChromeTraceBuilder;
@@ -43,8 +39,6 @@ pub struct TracedRun {
     pub epoch_ns: u64,
     /// Kernel variant the run dispatched to.
     pub variant: KernelVariant,
-    /// Blocking plan the macro-kernel ran under.
-    pub plan: BlockingPlan,
     /// Every span the job recorded, sorted by start time. Empty when
     /// recording is disabled (`MMC_SPANS=off`).
     pub spans: Vec<SpanRecord>,
@@ -61,13 +55,12 @@ pub fn run_traced<T: Element>(
     b: &BlockMatrixOf<T>,
     tiling: Tiling,
     variant: KernelVariant,
-    plan: BlockingPlan,
 ) -> (BlockMatrixOf<T>, TracedRun) {
     let job = span::new_job();
     let epoch_ns = span::now_ns();
-    let c = gemm_parallel_with_plan(a, b, tiling, variant, plan);
+    let c = gemm_parallel_with_kernel(a, b, tiling, variant);
     let spans = span::collect_job(job);
-    (c, TracedRun { job, epoch_ns, variant, plan, spans })
+    (c, TracedRun { job, epoch_ns, variant, spans })
 }
 
 /// Lane label for a span: worker/io/caller prefix plus the loop level,
@@ -133,19 +126,10 @@ pub struct ExecModel {
     pub z: u32,
     /// Block side in elements.
     pub q: usize,
-    /// Bytes per element (8 for f64, 4 for f32).
-    pub elem_bytes: usize,
-    /// Tiling the run used (tiles bound the per-tile loop extents).
-    pub tiling: Tiling,
-    /// Threads the run could use, which decides how tiles split into
-    /// work units (see `runner::work_units`).
-    pub threads: usize,
     /// Single-thread peak for the dispatched kernel, GFLOP/s — measured
     /// span time is *summed across threads* (CPU-seconds), so the
     /// prediction must be priced at one thread's roof, not the chip's.
     pub peak_gflops: f64,
-    /// Measured STREAM-triad bandwidth, GB/s, pricing pack traffic.
-    pub stream_gbs: f64,
 }
 
 impl ExecModel {
@@ -155,7 +139,6 @@ impl ExecModel {
     pub fn for_run<T: Element>(
         a: &BlockMatrixOf<T>,
         b: &BlockMatrixOf<T>,
-        tiling: Tiling,
         variant: KernelVariant,
     ) -> ExecModel {
         let kernel_name = if std::mem::size_of::<T>() == 4 {
@@ -169,41 +152,18 @@ impl ExecModel {
             n: b.cols(),
             z: a.cols(),
             q: a.q(),
-            elem_bytes: std::mem::size_of::<T>(),
-            tiling,
-            threads: rayon::current_num_threads(),
             peak_gflops: mmc_obs::peak_gflops_estimate(
                 1,
                 roofs.ghz,
                 mmc_obs::flops_per_cycle_for_kernel(&kernel_name),
             ),
-            stream_gbs: roofs.stream_gbs,
         }
     }
 
-    /// Total useful FLOPs of the product — the prediction every loop
-    /// level is held to (each level covers the whole problem once).
+    /// Total useful FLOPs of the product — the prediction the `tile`
+    /// phase is held to (the work units cover the whole problem once).
     pub fn total_flops(&self) -> u64 {
         2 * (self.q as u64).pow(3) * self.m as u64 * self.n as u64 * self.z as u64
-    }
-
-    /// Predicted pack traffic in bytes, per side, from the five-loop
-    /// model applied work unit by work unit: `A` is repacked once per
-    /// `jc` pass (`th·z·⌈tw/NC_b⌉` blocks per unit — the `m·z·⌈n/NC⌉`
-    /// term of `M_S`), `B` is packed once per `(jc, pc)` (`tw·z` blocks
-    /// per unit — the `z·n` term, repeated for every row chunk of a
-    /// split tile).
-    pub fn pack_bytes(&self, plan: BlockingPlan) -> (u64, u64) {
-        let nc_b = ((plan.nc / self.q).max(1)) as u64;
-        let block_bytes = (self.q * self.q * self.elem_bytes) as u64;
-        let (mut a_blocks, mut b_blocks) = (0u64, 0u64);
-        for (_, th, _, tw) in work_units(self.m, self.n, self.tiling, self.threads) {
-            let (th, tw) = (th as u64, tw as u64);
-            let jc_passes = tw.div_ceil(nc_b.min(tw).max(1));
-            a_blocks += th * self.z as u64 * jc_passes;
-            b_blocks += tw * self.z as u64;
-        }
-        (a_blocks * block_bytes, b_blocks * block_bytes)
     }
 }
 
@@ -212,66 +172,30 @@ fn flop_us(flops: u64, gflops: f64) -> f64 {
     flops as f64 / (gflops.max(1e-9) * 1e3)
 }
 
-/// Microseconds to move `bytes` at `gbs` GB/s.
-fn byte_us(bytes: u64, gbs: f64) -> f64 {
-    bytes as f64 / (gbs.max(1e-9) * 1e3)
-}
-
-/// Build the drift report for one traced run: every loop level and pack
-/// phase, measured (summed span time, CPU-µs) against predicted (closed
-/// forms priced at the model's roofs). Phases the run never entered are
-/// dropped, not flagged.
+/// Build the drift report for one traced run: the `tile` phase, measured
+/// (summed span time, CPU-µs) against predicted (the product's FLOPs at
+/// the model's roof). A run with no tile spans reports no phase.
 pub fn exec_drift(run: &TracedRun, model: &ExecModel, band: f64) -> DriftReport {
-    let sum = |kind: SpanKind| -> (u64, f64, u64) {
-        run.spans.iter().filter(|s| s.kind == kind).fold((0u64, 0.0f64, 0u64), |acc, s| {
-            (acc.0 + 1, acc.1 + s.dur_ns as f64 / 1e3, acc.2 + s.val)
-        })
+    let tiles = run.spans.iter().filter(|s| s.kind == SpanKind::Tile);
+    let (spans, measured_us, measured) = tiles.fold((0u64, 0.0f64, 0u64), |acc, s| {
+        (acc.0 + 1, acc.1 + s.dur_ns as f64 / 1e3, acc.2 + s.val)
+    });
+    let predicted = model.total_flops();
+    let tile = PhaseSample {
+        phase: SpanKind::Tile.name().to_string(),
+        spans,
+        measured_us,
+        predicted_us: flop_us(predicted, model.peak_gflops),
+        unit: "flop".to_string(),
+        measured_units: measured as f64,
+        predicted_units: predicted as f64,
     };
-    let flop_sample = |kind: SpanKind| -> PhaseSample {
-        let (spans, measured_us, measured) = sum(kind);
-        let predicted = model.total_flops();
-        PhaseSample {
-            phase: kind.name().to_string(),
-            spans,
-            measured_us,
-            predicted_us: flop_us(predicted, model.peak_gflops),
-            unit: "flop".to_string(),
-            measured_units: measured as f64,
-            predicted_units: predicted as f64,
-        }
-    };
-    let (pack_a_bytes, pack_b_bytes) = model.pack_bytes(run.plan);
-    let byte_sample = |kind: SpanKind, predicted: u64| -> PhaseSample {
-        let (spans, measured_us, measured) = sum(kind);
-        PhaseSample {
-            phase: kind.name().to_string(),
-            spans,
-            measured_us,
-            predicted_us: byte_us(predicted, model.stream_gbs),
-            unit: "byte".to_string(),
-            measured_units: measured as f64,
-            predicted_units: predicted as f64,
-        }
-    };
-    DriftReport::from_samples(
-        "exec",
-        run.job,
-        band,
-        vec![
-            flop_sample(SpanKind::Tile),
-            flop_sample(SpanKind::LoopJc),
-            flop_sample(SpanKind::LoopPc),
-            flop_sample(SpanKind::LoopIc),
-            byte_sample(SpanKind::PackA, pack_a_bytes),
-            byte_sample(SpanKind::PackB, pack_b_bytes),
-        ],
-    )
+    DriftReport::from_samples("exec", run.job, band, vec![tile])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking;
     use crate::kernel;
     use crate::matrix::BlockMatrix;
     use crate::naive::gemm_naive;
@@ -288,31 +212,25 @@ mod tests {
         tiling: Tiling,
     ) -> (BlockMatrix, BlockMatrix, TracedRun) {
         let (a, b) = operands(m, n, z, q);
-        let (c, run) =
-            run_traced(&a, &b, tiling, kernel::variant(), blocking::active_plan::<f64>());
+        let (c, run) = run_traced(&a, &b, tiling, kernel::variant());
         assert_eq!(c, gemm_naive(&a, &b));
         (a, b, run)
     }
 
     #[test]
-    fn traced_run_collects_every_loop_level() {
+    fn traced_run_collects_one_tile_span_per_unit() {
         let tiling = Tiling { tile_m: 3, tile_n: 3, tile_k: 2 };
         let (_, _, run) = traced(6, 6, 5, 4, tiling);
         if !span::enabled() {
             assert!(run.spans.is_empty());
             return;
         }
-        // 4 tiles (split into work units on a multicore), each unit with
-        // at least one span per active loop level.
-        let units = work_units(6, 6, tiling, rayon::current_num_threads()).len();
+        // 4 tiles, each cut into µ×µ units; every unit leaves one tile
+        // span and nothing else.
+        let units = crate::runner::call_units::<f64>(6, 6, 4, tiling).len();
         assert!(units >= 4);
-        let count = |k: SpanKind| run.spans.iter().filter(|s| s.kind == k).count();
-        assert_eq!(count(SpanKind::Tile), units);
-        for kind in
-            [SpanKind::LoopJc, SpanKind::LoopPc, SpanKind::LoopIc, SpanKind::PackA, SpanKind::PackB]
-        {
-            assert!(count(kind) >= units, "{} spans from every unit", kind.name());
-        }
+        assert_eq!(run.spans.len(), units);
+        assert!(run.spans.iter().all(|s| s.kind == SpanKind::Tile));
         // Every span belongs to this run's job.
         assert!(run.spans.iter().all(|s| s.job == run.job));
         // FLOP accounting closes: tile spans sum to the whole product.
@@ -329,27 +247,25 @@ mod tests {
         assert_ne!(first.job, second.job);
         assert!(second.spans.iter().all(|s| s.job == second.job));
         if span::enabled() {
-            let units = work_units(4, 4, tiling, rayon::current_num_threads()).len();
+            let units = crate::runner::call_units::<f64>(4, 4, 3, tiling).len();
             assert_eq!(second.spans.iter().filter(|s| s.kind == SpanKind::Tile).count(), units);
         }
     }
 
     #[test]
-    fn exec_drift_reports_every_active_level_with_finite_ratios() {
+    fn exec_drift_reports_the_tile_phase_with_a_finite_ratio() {
         let tiling = Tiling { tile_m: 4, tile_n: 4, tile_k: 2 };
         let (a, b, run) = traced(8, 8, 6, 4, tiling);
         if !span::enabled() {
             return;
         }
-        let model = ExecModel::for_run(&a, &b, tiling, run.variant);
+        let model = ExecModel::for_run(&a, &b, run.variant);
         let report = exec_drift(&run, &model, 1e9);
         assert!(report.all_finite());
         let names: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
-        for n in ["tile", "jc", "pc", "ic", "pack_a", "pack_b"] {
-            assert!(names.contains(&n), "missing {n} in {names:?}");
-        }
-        // Work accounting: every FLOP level measured exactly the model's
-        // total, so units_ratio is 1 (instrumentation covers the nest).
+        assert_eq!(names, ["tile"]);
+        // Work accounting: the tile spans measured exactly the model's
+        // total, so units_ratio is 1 (the units cover the product).
         for p in report.phases.iter().filter(|p| p.unit == "flop") {
             assert!(
                 (p.units_ratio - 1.0).abs() < 1e-12,
@@ -360,40 +276,6 @@ mod tests {
         }
         // Astronomical band: nothing flagged.
         assert!(report.flagged.is_empty(), "{:?}", report.flagged);
-    }
-
-    #[test]
-    fn pack_byte_accounting_matches_the_five_loop_terms() {
-        // Whole problem as one tile: on one thread the pack predictions
-        // reduce to the exact M_S terms m·z·⌈n/NC⌉ and z·n; on four the
-        // tile splits into row chunks that each pack B. Either way the
-        // packed path's measured `pred` bytes (logical panel bytes) must
-        // agree with the model.
-        let variant = kernel::variant();
-        let (m, n, z, q) = (6u32, 8u32, 5u32, 4usize);
-        let tiling = Tiling { tile_m: m, tile_n: n, tile_k: 1 };
-        for threads in [1, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let (run, model) = pool.install(|| {
-                let (a, b, run) = traced(m, n, z, q, tiling);
-                (run, ExecModel::for_run(&a, &b, tiling, variant))
-            });
-            if !span::enabled() {
-                return;
-            }
-            let (pack_a_bytes, pack_b_bytes) = model.pack_bytes(run.plan);
-            let nc_b = ((run.plan.nc / q).max(1) as u64).min(n as u64);
-            let block = (q * q * 8) as u64;
-            assert_eq!(pack_a_bytes, m as u64 * z as u64 * (n as u64).div_ceil(nc_b) * block);
-            let chunks = work_units(m, n, tiling, threads).len() as u64;
-            assert_eq!(chunks == 1, threads == 1);
-            assert_eq!(pack_b_bytes, chunks * z as u64 * n as u64 * block);
-            let logical = |kind: SpanKind| -> u64 {
-                run.spans.iter().filter(|s| s.kind == kind).map(|s| s.pred).sum()
-            };
-            assert_eq!(logical(SpanKind::PackA), pack_a_bytes);
-            assert_eq!(logical(SpanKind::PackB), pack_b_bytes);
-        }
     }
 
     #[test]
@@ -430,7 +312,7 @@ mod tests {
         if span::enabled() {
             assert!(!worker_tids.is_empty(), "{text}");
             assert!(text.contains("\"tile\""), "{text}");
-            assert!(text.contains(" pc\"") || text.contains(" tile\""), "lane names present");
+            assert!(text.contains(" tile\""), "lane names present");
             assert!(text.contains("\"pred\""));
             assert!(text.contains("exec.flops"));
         }

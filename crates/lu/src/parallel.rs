@@ -6,10 +6,10 @@
 //! update — everything outside the tiny diagonal factor — fan out over a
 //! rayon pool. Each parallel region writes disjoint blocks, and every
 //! block's updates apply in ascending `k` order. The Schur-complement
-//! trailing update runs through the packed 5-loop
+//! trailing update runs through the block executor
 //! [`gemm_into`] (with `L` negated during extraction, so the
-//! kernel's `+=` applies the subtraction); the packed micro-kernel
-//! associates its FMAs differently from the blockwise stripes, so the
+//! kernel's `+=` applies the subtraction); its block kernel associates
+//! its FMAs differently from the blockwise stripes, so the
 //! parallel result agrees with the sequential factorization to rounding
 //! (tests bound `max_abs_diff`), not bit-for-bit.
 
@@ -136,13 +136,12 @@ pub fn lu_factor_parallel(m: &mut BlockMatrix, w: u32) -> Result<(), LuError> {
                     trsm_left_lower_unit(diag, target, q);
                 }
             });
-            // --- 3. Trailing update: packed Schur complement -------------
+            // --- 3. Trailing update: Schur complement ---------------------
             // C[base.., base..] -= L[base.., kp..base] · U[kp..base, base..]
-            // through the packed 5-loop `gemm_into`: `L` is negated
-            // during extraction so the kernel's `+=` applies the
-            // subtraction, and the whole panel width goes in one call
-            // (ascending `k` inside the packed panels, like the stripes
-            // this replaces — only the FMA association differs).
+            // through `gemm_into`: `L` is negated during extraction so
+            // the kernel's `+=` applies the subtraction, and the whole
+            // panel width goes in one call (ascending `k`, like the
+            // stripes this replaces — only the FMA association differs).
             let tn = n - base;
             let mut lneg = BlockMatrix::zeros(tn, pw, q);
             let mut upan = BlockMatrix::zeros(pw, tn, q);
@@ -172,7 +171,7 @@ pub fn lu_factor_parallel(m: &mut BlockMatrix, w: u32) -> Result<(), LuError> {
             }
             // Row-stripe tiles keep the update's rayon granularity.
             let tiling = Tiling { tile_m: 1, tile_n: tn, tile_k: pw };
-            gemm_into(&mut csub, &lneg, &upan, tiling, &GemmOpts::dispatched::<f64>());
+            gemm_into(&mut csub, &lneg, &upan, tiling, &GemmOpts::dispatched());
             for i in 0..tn {
                 for j in 0..tn {
                     // SAFETY: as above.

@@ -2,7 +2,7 @@
 //!
 //! The paper's contribution is a *closed-form* cost model; this module
 //! is where the model is held to account per phase rather than in
-//! aggregate. Each traced phase (a 5-loop level, a pack side, an ooc
+//! aggregate. Each traced phase (the executor's tile work units, an ooc
 //! pipeline stage) contributes one [`PhaseSample`]: its measured wall
 //! time next to the time the closed forms predict for the same work
 //! (FLOPs over the roofline peak for compute phases, bytes over the

@@ -19,7 +19,7 @@
 //!   `BENCH_exec.json`.
 //! * [`span`] — per-job span tracing: lock-free per-thread ring-buffer
 //!   recorders (seqlock slots, overwrite-oldest, no allocation or
-//!   locking on the hot path) stamping every 5-loop macro-step and ooc
+//!   locking on the hot path) stamping every executor work unit and ooc
 //!   pipeline stage with its predicted cost.
 //! * [`drift`] — per-phase measured/predicted ratio reports over traced
 //!   spans, with band flagging and always-finite ratios.

@@ -23,9 +23,9 @@ pub struct RooflineRecord {
     pub name: String,
     /// Kernel variant that produced the point.
     pub kernel: String,
-    /// 5-loop blocking plan the run executed under
-    /// (`mc=.. kc=.. nc=..`, elements), empty for records that predate
-    /// the macro-kernel or paths that bypass it.
+    /// Executor blocking the run executed under: `mu=..` for the block
+    /// executor's `µ×µ` work units, `mc=.. kc=.. nc=..` (elements) in
+    /// records from the retired 5-loop executor, empty in older records.
     #[serde(default)]
     pub blocking: String,
     /// Problem order (matrix blocks per side).

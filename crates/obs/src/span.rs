@@ -1,9 +1,9 @@
 //! Per-job span tracing: lock-free per-thread ring-buffer recorders.
 //!
 //! The flight-recorder layer of the predicted-vs-measured loop. Every
-//! macro-step of the 5-loop executor (`jc`/`pc`/`ic` plus the two pack
-//! phases) and every stage of the out-of-core pipeline (read, stage,
-//! stall, accumulate) emits one [`SpanRecord`] carrying both its
+//! work unit of the parallel executor (`tile`) and every stage of the
+//! out-of-core pipeline (read, stage, stall, accumulate) emits one
+//! [`SpanRecord`] carrying both its
 //! *measured* wall time and the *predicted* cost the closed forms assign
 //! to it. The [`crate::drift`] module turns a batch of spans into
 //! per-phase measured/predicted ratios.
@@ -60,23 +60,25 @@ pub const DEFAULT_RING_CAPACITY: usize = 8192;
 /// (the caller thread of a parallel region, or the ooc compute driver).
 pub const NO_THREAD: u32 = u32::MAX;
 
-/// What a span measures — one macro-step of the 5-loop executor or one
-/// stage of the out-of-core pipeline.
+/// What a span measures — one work unit of the parallel executor or one
+/// stage of the out-of-core pipeline. The loop and pack kinds are
+/// recorded by no current executor; they stay so that traces and tools
+/// that name them keep decoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// One `q×q`-blocked C tile of the parallel executor (the rayon
-    /// work item; parent of the loop spans below).
+    /// One work unit of the parallel executor: a `µ×µ` sub-tile of `C`
+    /// blocks through all of `k` (the rayon work item).
     Tile = 0,
-    /// One `jc`/`NC` macro-step (B-panel pass) of the 5-loop nest.
+    /// One `jc`/`NC` macro-step of a BLIS-style 5-loop (not emitted).
     LoopJc = 1,
-    /// One `pc`/`KC` macro-step (packed k panel) within a `jc` pass.
+    /// One `pc`/`KC` macro-step of a 5-loop (not emitted).
     LoopPc = 2,
-    /// One `ic`/`MC` macro-step (packed A block) within a `pc` panel.
+    /// One `ic`/`MC` macro-step of a 5-loop (not emitted).
     LoopIc = 3,
-    /// Packing one `MC×KC` A panel into the arena.
+    /// Packing one `MC×KC` A panel (not emitted).
     PackA = 4,
-    /// Packing one `KC×NC` B panel into the arena.
+    /// Packing one `KC×NC` B panel (not emitted).
     PackB = 5,
     /// One positioned panel read by an ooc I/O thread.
     Read = 6,

@@ -1,6 +1,6 @@
 //! The out-of-core multiply driver: walk the Tradeoff staging order over
 //! tiled files, stream `A`/`B` panels through the prefetch pipeline, and
-//! accumulate each resident `C` tile with the in-core packed kernels.
+//! accumulate each resident `C` tile with the in-core block executor.
 //!
 //! The schedule is the paper's Tradeoff algorithm lifted one level: RAM
 //! plays the role of the shared cache, disk the role of main memory. A
@@ -25,8 +25,7 @@ use serde::{Deserialize, Serialize};
 use mmc_core::params::ooc_staging;
 use mmc_core::{formulas, OocStaging, ProblemSpec};
 use mmc_exec::{
-    blocking, gemm_into, gemm_parallel_with_plan, BlockMatrix, CancelToken, GemmOpts,
-    KernelVariant, Tiling,
+    gemm_into, gemm_parallel_with_kernel, BlockMatrix, CancelToken, GemmOpts, KernelVariant, Tiling,
 };
 use mmc_obs::span::{self, SpanKind};
 use mmc_obs::{DriftReport, PhaseSample};
@@ -161,9 +160,6 @@ pub struct OocReport {
     pub c_tile_bytes: u64,
     /// Measured peak resident staging memory: panels + `C` tile.
     pub peak_resident_bytes: u64,
-    /// Analytic bound on the kernels' thread-local pack arenas (not part
-    /// of the staged budget; reported for full accounting).
-    pub pack_arena_bound_bytes: u64,
     /// Whether `peak_resident_bytes` stayed within `budget_bytes`.
     pub within_budget: bool,
     /// Bytes written to the `C` file.
@@ -203,8 +199,8 @@ fn ceil_div(a: u32, b: u32) -> u32 {
 
 /// The compute tiling inside one resident `th×tw` `C` tile: split it
 /// into roughly `√p × √p` sub-tiles so every core gets work, with the
-/// panel's full depth as `tile_k` (any split is bit-identical; this one
-/// maximizes packing reuse).
+/// panel's full depth as `tile_k` (any split is bit-identical; the
+/// executor cuts each sub-tile further into `µ×µ` work units).
 fn inner_tiling(th: u32, tw: u32, kd: u32, cores: usize) -> Tiling {
     let pr = ((cores as f64).sqrt().round() as u32).max(1);
     Tiling { tile_m: ceil_div(th, pr).max(1), tile_n: ceil_div(tw, pr).max(1), tile_k: kd.max(1) }
@@ -387,11 +383,7 @@ fn ooc_multiply_inner(
     let mut c_buf: Vec<f64> = Vec::new();
     let mut consumed = 0usize;
 
-    let gemm_opts = GemmOpts {
-        variant: opts.variant,
-        plan: blocking::active_plan_for::<f64>(opts.variant),
-        cancel,
-    };
+    let gemm_opts = GemmOpts { variant: opts.variant, cancel };
     let mut cancelled = false;
     'tiles: for i0 in (0..m).step_by(alpha as usize) {
         let th = alpha.min(m - i0);
@@ -417,12 +409,11 @@ fn ooc_multiply_inner(
                 let tiling = inner_tiling(th, tw, kd, opts.machine.cores);
                 let acc_start = if span::enabled() { span::now_ns() } else { 0 };
                 let t0 = Instant::now();
-                // Inside each call the executor runs its 5-loop
-                // macro-kernel; accumulating panel-by-panel here stays
-                // bit-identical to a one-shot in-RAM product because
-                // every path applies one multiply-accumulate per C
-                // element per ascending k step, and neither the panel
-                // split nor the blocking plan moves that order.
+                // Accumulating panel-by-panel here stays bit-identical
+                // to a one-shot in-RAM product because every path
+                // applies one multiply-accumulate per C element per
+                // ascending k step, and neither the panel split nor the
+                // work units move that order.
                 let finished = gemm_into(&mut c_tile, &a_panel, &b_panel, tiling, &gemm_opts);
                 if !finished {
                     cancelled = true;
@@ -490,14 +481,6 @@ fn ooc_multiply_inner(
         sigma_d: opts.machine.sigma_d,
     };
 
-    // Pack-arena bound: each rayon worker (plus the caller) packs one
-    // inner A panel and one inner B panel of at most
-    // (tile_m + tile_n)·β·q² elements at a time.
-    let t = inner_tiling(alpha, alpha, beta, opts.machine.cores);
-    let workers = rayon::current_num_threads() as u64 + 1;
-    let pack_arena_bound_bytes =
-        workers * (t.tile_m as u64 + t.tile_n as u64) * beta as u64 * block_bytes;
-
     let mut report = OocReport {
         schema_version: mmc_obs::SCHEMA_VERSION,
         m,
@@ -512,7 +495,6 @@ fn ooc_multiply_inner(
         peak_panel_bytes: prefetch.peak_resident_bytes,
         c_tile_bytes,
         peak_resident_bytes,
-        pack_arena_bound_bytes,
         within_budget: peak_resident_bytes <= opts.mem_budget_bytes,
         bytes_written,
         sigma_f_blocks_per_s: sigma_f,
@@ -667,7 +649,7 @@ pub fn ooc_verify(
     let tiling = Tiling::tradeoff(machine)
         .or_else(|| Tiling::shared_opt(machine))
         .unwrap_or(Tiling { tile_m: 1, tile_n: 1, tile_k: 1 });
-    let want = gemm_parallel_with_plan(&a, &b, tiling, variant, blocking::active_plan::<f64>());
+    let want = gemm_parallel_with_kernel(&a, &b, tiling, variant);
     let mismatches =
         c.data().iter().zip(want.data()).filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64;
     Ok(mismatches)
@@ -755,8 +737,7 @@ mod tests {
             assert!(report.staging.alpha >= 1 && report.staging.beta >= 1);
             let got = TiledFile::open(&c_path).unwrap().read_matrix().unwrap();
             let tiling = Tiling { tile_m: 3, tile_n: 3, tile_k: 2 };
-            let want =
-                gemm_parallel_with_plan(&a, &b, tiling, variant, blocking::active_plan::<f64>());
+            let want = gemm_parallel_with_kernel(&a, &b, tiling, variant);
             assert_eq!(got, want, "ooc result must be bit-identical ({})", variant.name());
             assert_eq!(ooc_verify(&a_path, &b_path, &c_path, variant, &opts.machine).unwrap(), 0);
             // Disk traffic matches the staging predictor exactly.

@@ -4,7 +4,7 @@
 //! level below it. Operands live in block-major [`tiled`] files on disk,
 //! and a bounded, double-buffered [`pipeline`] streams `A` row-panels and
 //! `B` column-panels through dedicated I/O threads into the in-core
-//! packed kernels of `mmc-exec`, while each `α×α` `C` tile stays resident
+//! block executor of `mmc-exec`, while each `α×α` `C` tile stays resident
 //! in RAM — the Tradeoff algorithm lifted one level, with `(α, β)` sized
 //! from the user's RAM budget exactly as §3.3 sizes them from `C_S`
 //! ([`mmc_core::params::ooc_staging`]).

@@ -1,6 +1,6 @@
 //! Strassen–Winograd recursive GEMM over Morton-ordered blocks.
 //!
-//! Classic GEMM is cubic: every path in this repo so far — the 5-loop
+//! Classic GEMM is cubic: every path in this repo so far — the block
 //! executor, the out-of-core pipeline, the serve scheduler — runs and
 //! prices `2n³q³` flops. This crate adds the first sub-cubic path: the
 //! Winograd variant of Strassen's recursion, which multiplies two `2×2`
@@ -14,11 +14,10 @@
 //!   Z-order layout where every quadrant at every recursion level is one
 //!   contiguous slice, so the recursion is pure slice arithmetic with no
 //!   strided views, and each leaf is byte-identical to the row-major
-//!   [`BlockMatrixOf`] layout the packed kernels consume.
-//! * **Packed leaves**: below a tunable `cutoff` (in blocks), products
-//!   are handed to the existing 5-loop packed kernels via
-//!   [`mmc_exec::gemm_into`], inheriting their SIMD
-//!   micro-kernels and analytic `MC`/`KC`/`NC` blocking unchanged.
+//!   [`BlockMatrixOf`] layout the block kernels consume.
+//! * **Classic leaves**: below a tunable `cutoff` (in blocks), products
+//!   are handed to the classic executor via [`mmc_exec::gemm_into`],
+//!   inheriting its SIMD block kernels and `µ×µ` work units unchanged.
 //! * **Pooled workspace** ([`pool`]): the recursion runs its 7 products
 //!   sequentially with two quadrant temporaries per level, recycled
 //!   through a free list, so the live workspace is bounded by the
@@ -56,9 +55,10 @@ use morton::{MortonLayout, MortonMatrix};
 use pool::BufferPool;
 
 /// Default leaf cutoff, in blocks: recursion stops once a quadrant side
-/// is at most this many `q×q` blocks and hands the product to the packed
-/// 5-loop kernels. 8 blocks keeps the leaf big enough to amortize
-/// packing while still reaching depth ≥ 1 on modest problem sizes.
+/// is at most this many `q×q` blocks and hands the product to the
+/// classic block executor. 8 blocks keeps the leaf big enough to fill a
+/// `µ×µ` work unit while still reaching depth ≥ 1 on modest problem
+/// sizes.
 pub const DEFAULT_CUTOFF: u32 = 8;
 
 /// Tunable knobs for one Strassen–Winograd multiply.
@@ -68,8 +68,8 @@ pub struct StrassenOpts {
     pub cutoff: u32,
     /// Kernel variant the leaf products run.
     pub variant: KernelVariant,
-    /// `MC`/`KC`/`NC` blocking the leaf products and the depth-0
-    /// (classic) fallback run under.
+    /// Unused: the executor no longer runs a 5-loop. Kept because the
+    /// benchmark harness still sets it.
     pub plan: BlockingPlan,
     /// Task tiling for leaf products, clamped to the leaf side.
     pub tiling: Tiling,
@@ -77,7 +77,7 @@ pub struct StrassenOpts {
 
 impl StrassenOpts {
     /// Options with the given cutoff and the host's detected kernel
-    /// variant, blocking plan, and a whole-leaf tiling.
+    /// variant, and a whole-leaf tiling.
     pub fn with_cutoff<T: Element>(cutoff: u32) -> StrassenOpts {
         StrassenOpts {
             cutoff,
@@ -190,7 +190,7 @@ struct Recursion<'a, T> {
 }
 
 impl<T: Element + Sub<Output = T>> Recursion<'_, T> {
-    /// One leaf product `dst = a·b` through the packed 5-loop kernels:
+    /// One leaf product `dst = a·b` through the classic executor:
     /// stage the Morton chunks as row-major block matrices (they are
     /// byte-identical — one memcpy each), run, copy the result back.
     fn leaf(&mut self, dst: &mut [T], a: &[T], b: &[T]) -> bool {
@@ -291,11 +291,11 @@ pub fn strassen_multiply_cancellable<T: Element + Sub<Output = T>>(
     assert_eq!(a.cols(), b.rows(), "inner block dimensions must agree");
     assert_eq!(a.q(), b.q(), "block sides must agree");
     let layout = MortonLayout::for_shape(a.rows(), b.cols(), a.cols(), opts.cutoff, a.q());
-    let gemm = GemmOpts { variant: opts.variant, plan: opts.plan, cancel };
+    let gemm = GemmOpts { variant: opts.variant, cancel };
     if layout.depth == 0 {
         // Already at or below the cutoff: the recursion would be a
         // single leaf, so skip the Morton round trip entirely and run
-        // the classic packed path on the original row-major operands.
+        // the classic path on the original row-major operands.
         let tiling = clamped_tiling(opts.tiling, a.rows().max(b.cols()).max(a.cols()));
         let mut c = BlockMatrixOf::zeros(a.rows(), b.cols(), a.q());
         if !gemm_into(&mut c, a, b, tiling, &gemm) {

@@ -3,15 +3,15 @@
 //! The recursion halves a square matrix into quadrants at every level, so
 //! the natural storage is the one where **every quadrant at every level
 //! is one contiguous slice**. A pure element-wise Z-order curve would buy
-//! that at the price of scattering the `q×q` blocks the packed 5-loop
-//! kernels consume; this module uses the hybrid the cache-oblivious
+//! that at the price of scattering the `q×q` blocks the block kernels
+//! consume; this module uses the hybrid the cache-oblivious
 //! literature recommends instead:
 //!
 //! * the padded matrix is a `2^d × 2^d` grid of *leaf tiles*, stored in
 //!   Morton order of their `(tile_row, tile_col)` coordinates;
 //! * each leaf tile is an `ℓ×ℓ` grid of `q×q` blocks in ordinary
 //!   block-row-major order — byte-for-byte the [`BlockMatrixOf`] layout,
-//!   so a leaf converts to the packed kernels' input with one `memcpy`.
+//!   so a leaf converts to the block kernels' input with one `memcpy`.
 //!
 //! Splitting a Morton square of side `2^k` tiles yields four contiguous
 //! chunks, in the order `[Q11, Q12, Q21, Q22]` (the row bit interleaves

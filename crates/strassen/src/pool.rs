@@ -2,7 +2,7 @@
 //!
 //! Every level of the Strassen–Winograd recursion needs two quadrant
 //! temporaries (`X`, `Y`), and every leaf product stages its operands
-//! and result for the packed kernels. Allocating those on demand would
+//! and result for the block kernels. Allocating those on demand would
 //! churn the allocator `O(7^d)` times; this free-list recycles buffers
 //! across the recursion's sequential products instead, so the live
 //! workspace stays at the analytic bound (two temps per *live* level

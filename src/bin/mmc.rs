@@ -56,7 +56,6 @@ fn usage() -> ! {
          tilings (exec): shared_opt distributed_opt tradeoff equal; (lu): row_stripes shared_opt tradeoff;\n\
          granularities (trace): auto events steps;\n\
          kernels (--kernel K, env MMC_KERNEL=K forces the exec micro-kernel variant): {kernels};\n\
-         env: MMC_BLOCKING=mc,kc,nc (elements) pins the 5-loop macro-kernel blocking (default: derived from host caches);\n\
          env: MMC_SPANS=off disables the always-on span recorder; MMC_SPAN_RING=N sets its per-thread ring capacity"
     );
     exit(2);
@@ -283,10 +282,11 @@ struct ExecReport {
     tiling: String,
     /// Dispatched micro-kernel variant (`scalar`, `avx2_fma`, `avx512_fma`, `neon`).
     kernel: String,
-    /// Active 5-loop blocking plan (`mc=.. kc=.. nc=..`, elements) —
-    /// analytic from the host caches unless pinned via `MMC_BLOCKING`.
+    /// The `µ` the executor cut its tiles by: the largest integer with
+    /// `1 + µ + µ² ≤ C_D` (`C_D` the host L2 in blocks), capped so every
+    /// thread gets a `µ×µ` unit.
     #[serde(default)]
-    blocking: String,
+    mu: u32,
     tasks: usize,
     threads: usize,
     seconds: f64,
@@ -298,7 +298,7 @@ struct ExecReport {
     #[serde(default)]
     algo: String,
     /// Smallest square side (blocks) where the cost model predicts the
-    /// Strassen recursion beats the classic 5-loop path.
+    /// Strassen recursion beats the classic block path.
     #[serde(default)]
     predicted_crossover_blocks: Option<u64>,
     /// Geometry/workspace report of the Strassen run, when one ran.
@@ -311,8 +311,8 @@ struct ExecReport {
     /// against (Higham's `18^d` growth, scaled by the operand maxima).
     #[serde(default)]
     tolerance: Option<f64>,
-    /// Predicted-vs-measured drift over the traced 5-loop phases;
-    /// present only under `--drift` on the classic path.
+    /// Predicted-vs-measured drift over the traced tile phase; present
+    /// only under `--drift` on the classic path.
     #[serde(default)]
     drift: Option<DriftReport>,
 }
@@ -340,9 +340,9 @@ fn cmd_exec(flags: HashMap<String, String>) {
     let a = BlockMatrix::pseudo_random(order, order, q, seed);
     let b = BlockMatrix::pseudo_random(order, order, q, seed + 1);
     let variant = multicore_matmul::exec::kernel::variant();
-    let blocking = multicore_matmul::exec::blocking::active_plan::<f64>();
+    let mu = multicore_matmul::exec::unit_mu::<f64>(order, order, q);
 
-    // Model-driven algorithm selection: price the classic 5-loop path
+    // Model-driven algorithm selection: price the classic block path
     // and the Strassen recursion in the chosen preset machine's world
     // (same convention as `mmc plan`), with the selected tiling as the
     // model's blocking — so the prediction is deterministic per preset,
@@ -375,16 +375,19 @@ fn cmd_exec(flags: HashMap<String, String>) {
     let mut strassen_report = None;
     let t0 = Instant::now();
     let (c, run) = if algo == "strassen" {
-        let opts =
-            multicore_matmul::strassen::StrassenOpts { cutoff, variant, plan: blocking, tiling };
+        let opts = multicore_matmul::strassen::StrassenOpts {
+            variant,
+            tiling,
+            ..multicore_matmul::strassen::StrassenOpts::with_cutoff::<f64>(cutoff)
+        };
         let trace_job = multicore_matmul::obs::span::new_job();
         let epoch_ns = multicore_matmul::obs::span::now_ns();
         let (c, sr) = multicore_matmul::strassen::strassen_multiply(&a, &b, &opts);
         let spans = multicore_matmul::obs::span::collect_job(trace_job);
         strassen_report = Some(sr);
-        (c, TracedRun { job: trace_job, epoch_ns, variant, plan: blocking, spans })
+        (c, TracedRun { job: trace_job, epoch_ns, variant, spans })
     } else {
-        run_traced(&a, &b, tiling, variant, blocking)
+        run_traced(&a, &b, tiling, variant)
     };
     let dt = t0.elapsed().as_secs_f64();
     let tasks = run.spans.iter().filter(|s| s.kind == SpanKind::Tile).count();
@@ -401,11 +404,11 @@ fn cmd_exec(flags: HashMap<String, String>) {
     }
     let drift = if flags.contains_key("drift") {
         if algo == "strassen" {
-            eprintln!("note: --drift models the classic 5-loop phases; skipped for strassen");
+            eprintln!("note: --drift models the classic tile phase; skipped for strassen");
             None
         } else {
             let band: f64 = num(&flags, "band", multicore_matmul::obs::drift::DEFAULT_BAND);
-            let model = ExecModel::for_run(&a, &b, tiling, variant);
+            let model = ExecModel::for_run(&a, &b, variant);
             Some(exec_drift(&run, &model, band))
         }
     } else {
@@ -433,7 +436,7 @@ fn cmd_exec(flags: HashMap<String, String>) {
             q,
             tiling: tiling_name,
             kernel: kernel.to_string(),
-            blocking: blocking.to_string(),
+            mu,
             tasks,
             threads,
             seconds: dt,
@@ -464,7 +467,7 @@ fn cmd_exec(flags: HashMap<String, String>) {
             crossover.map_or_else(|| "none".into(), |x| x.to_string()),
         );
         println!(
-            "  {dt:.3}s  ->  {:.2} GFLOP/s ({} tile tasks over {threads} threads, {kernel} kernel, {blocking})",
+            "  {dt:.3}s  ->  {:.2} GFLOP/s ({} tile tasks over {threads} threads, {kernel} kernel, mu = {mu})",
             flops / dt / 1e9,
             tasks
         );
@@ -671,20 +674,6 @@ fn cmd_counters(flags: HashMap<String, String>) {
     let block_bytes = (q * q * 8) as u64;
     let predicted_bytes = stats.ms() * block_bytes;
 
-    // 5-loop macro-kernel model: the analytic blocking the executor will
-    // actually run, converted to whole-block loop steps exactly as the
-    // packed path does, fed to the closed-form traffic count (modeled at
-    // whole-problem granularity, i.e. one C tile).
-    let plan = multicore_matmul::exec::blocking::active_plan_for::<f64>(variant);
-    let fiveloop = five_loop_traffic(
-        order as u64,
-        order as u64,
-        order as u64,
-        (plan.mc / q).max(1) as u64,
-        (plan.kc / q).max(1) as u64,
-        (plan.nc / q).max(1) as u64,
-    );
-
     // Machine side: the same schedule executed for real, wrapped in perf
     // counters, with registry deltas isolating this run's contribution.
     let ma = BlockMatrix::pseudo_random(order, order, q, seed);
@@ -692,7 +681,7 @@ fn cmd_counters(flags: HashMap<String, String>) {
     let before = multicore_matmul::obs::global().snapshot();
     let counters = PerfCounters::open();
     let t0 = Instant::now();
-    let c = gemm_parallel_with_plan(&ma, &mb, tiling, variant, plan);
+    let c = gemm_parallel_with_kernel(&ma, &mb, tiling, variant);
     let seconds = t0.elapsed().as_secs_f64();
     let reading = counters.read();
     let after = multicore_matmul::obs::global().snapshot();
@@ -702,7 +691,6 @@ fn cmd_counters(flags: HashMap<String, String>) {
         after.counter(name).unwrap_or(0).saturating_sub(before.counter(name).unwrap_or(0))
     };
     let flops = delta(&format!("exec.flops.{}", variant.name()));
-    let pack_bytes = delta("exec.pack_bytes");
     let gflops = if seconds > 0.0 { flops as f64 / seconds / 1e9 } else { 0.0 };
     let llc_miss_bytes = if counters.hardware_available() {
         reading.get("llc_load_misses").or_else(|| reading.get("cache_misses")).map(|m| m * 64)
@@ -722,15 +710,11 @@ fn cmd_counters(flags: HashMap<String, String>) {
             ("md_simulated_blocks", Value::UInt(stats.md())),
             ("t_data_simulated", Value::Float(stats.t_data(machine.sigma_s, machine.sigma_d))),
             ("shared_traffic_bytes", Value::UInt(predicted_bytes)),
-            ("fiveloop_ms_blocks", Value::UInt(fiveloop.ms)),
-            ("fiveloop_md_blocks", Value::UInt(fiveloop.md)),
-            ("blocking", Value::Str(plan.to_string())),
         ]);
         let measured = jobj(vec![
             ("wall_seconds", Value::Float(seconds)),
             ("gflops", Value::Float(gflops)),
             ("kernel_flops", Value::UInt(flops)),
-            ("pack_bytes", Value::UInt(pack_bytes)),
         ]);
         let (counters_value, mut extra) = if counters.hardware_available() {
             let hw: Vec<(&str, Value)> =
@@ -807,16 +791,7 @@ fn cmd_counters(flags: HashMap<String, String>) {
             mib(predicted_bytes)
         ),
     }
-    println!(
-        "  5-loop:   M_S = {} / M_D = {} blocks under {plan} \
-         (macro-kernel model, whole-problem tile)",
-        fiveloop.ms, fiveloop.md
-    );
-    println!(
-        "  machine:  {seconds:.3}s wall, {gflops:.2} GFLOP/s, {flops} kernel FLOPs, \
-         {:.1} MiB packed",
-        mib(pack_bytes)
-    );
+    println!("  machine:  {seconds:.3}s wall, {gflops:.2} GFLOP/s, {flops} kernel FLOPs");
     if counters.hardware_available() {
         for v in &reading.hardware {
             println!("  counter:  {:<18} {}", v.event, v.value);
@@ -1115,13 +1090,11 @@ fn cmd_ooc(args: &[String]) {
                 mib(report.budget_bytes)
             );
             println!(
-                "  staging: alpha = {}, beta = {}, ring depth {} (resident {} blocks; \
-                 pack arenas add <= {:.1} MiB outside the budget)",
+                "  staging: alpha = {}, beta = {}, ring depth {} (resident {} blocks)",
                 s.alpha,
                 s.beta,
                 s.slots,
-                s.resident_blocks(),
-                mib(report.pack_arena_bound_bytes)
+                s.resident_blocks()
             );
             let sigma_f = match report.sigma_f_blocks_per_s {
                 Some(s) => format!("measured sigma_F = {s:.0} blocks/s/thread"),
@@ -1234,14 +1207,12 @@ fn cmd_drift(flags: HashMap<String, String>) {
     }
     let variant = kernel_flag(&flags);
 
-    // In-memory leg: one whole-problem tile so the five-loop closed
-    // forms (m·z·⌈n/NC⌉, z·n, ...) apply to the trace exactly.
+    // In-memory leg: one whole-problem tile, cut into µ×µ work units.
     let a = BlockMatrix::pseudo_random(order, order, q, seed);
     let b = BlockMatrix::pseudo_random(order, order, q, seed + 1);
     let tiling = Tiling { tile_m: order, tile_n: order, tile_k: 1 };
-    let plan = multicore_matmul::exec::blocking::active_plan_for::<f64>(variant);
-    let (_c, run) = run_traced(&a, &b, tiling, variant, plan);
-    let model = ExecModel::for_run(&a, &b, tiling, variant);
+    let (_c, run) = run_traced(&a, &b, tiling, variant);
+    let model = ExecModel::for_run(&a, &b, variant);
     let exec_report = exec_drift(&run, &model, band);
 
     // Out-of-core leg: the same shape streamed from disk through a

@@ -20,7 +20,7 @@
 //!   data;
 //! * [`strassen`] (`mmc-strassen`) — Strassen–Winograd recursive GEMM
 //!   over Morton-ordered blocks: sub-cubic `7^d` leaf products handed to
-//!   the packed 5-loop kernels below a tunable cutoff, with pooled,
+//!   the classic block executor below a tunable cutoff, with pooled,
 //!   bounded workspace and a cost-model-predicted crossover;
 //! * [`ooc`] (`mmc-ooc`) — out-of-core streaming GEMM over block-major
 //!   tiled files, with a bounded double-buffered prefetch pipeline and a
@@ -76,9 +76,9 @@ pub mod prelude {
         bounds, formulas, params, CoreGrid, Prediction, ProblemSpec, TradeoffParams,
     };
     pub use mmc_exec::{
-        exec_drift, gemm_into, gemm_naive, gemm_parallel, gemm_parallel_with_plan, run_schedule,
-        run_traced, spans_to_chrome, BlockMatrix, BlockMatrixOf, BlockingPlan, ExecModel, ExecSink,
-        GemmOpts, KernelVariant, Tiling, TracedRun,
+        exec_drift, gemm_into, gemm_naive, gemm_parallel, gemm_parallel_with_kernel, run_schedule,
+        run_traced, spans_to_chrome, BlockMatrix, BlockMatrixOf, ExecModel, ExecSink, GemmOpts,
+        KernelVariant, Tiling, TracedRun,
     };
     pub use mmc_obs::{
         CounterReading, DriftReport, PerfCounters, PhaseDrift, Registry, RegistrySnapshot,
@@ -88,11 +88,10 @@ pub mod prelude {
         ooc_drift, ooc_multiply, ooc_verify, write_pseudo_random, OocOpts, OocReport,
     };
     pub use mmc_sim::{
-        choose_algorithm, five_loop_traffic, predicted_crossover, AlgoChoice, Block, BlockSpace,
-        ChromeGranularity, ChromeTraceBuilder, CostEnv, CountingSink, EventKind, FileLevel,
-        FiveLoopTraffic, FlightRecorder, MachineConfig, MatrixId, MetricsSnapshot, Policy,
-        SimConfig, SimError, SimSink, SimStats, Simulator, StrassenPlan, TData3, TimingModel,
-        TraceSink,
+        choose_algorithm, predicted_crossover, AlgoChoice, Block, BlockSpace, ChromeGranularity,
+        ChromeTraceBuilder, CostEnv, CountingSink, EventKind, FileLevel, FlightRecorder,
+        MachineConfig, MatrixId, MetricsSnapshot, Policy, SimConfig, SimError, SimSink, SimStats,
+        Simulator, StrassenPlan, TData3, TimingModel, TraceSink,
     };
     pub use mmc_strassen::{
         strassen_multiply, strassen_multiply_cancellable, StrassenOpts, StrassenReport,

@@ -33,8 +33,7 @@ use std::time::Instant;
 
 use crate::exec::kernel;
 use crate::exec::{
-    blocking, exec_drift, gemm_into, BlockMatrix, CancelToken, ExecModel, GemmOpts, KernelVariant,
-    TracedRun,
+    exec_drift, gemm_into, BlockMatrix, CancelToken, ExecModel, GemmOpts, KernelVariant, TracedRun,
 };
 use crate::obs::{span, SCHEMA_VERSION};
 use crate::ooc::{ooc_multiply_cancellable, OocError, OocOpts, TiledFile};
@@ -241,32 +240,35 @@ fn run_mem_job(
     let started = Instant::now();
     let tiling = default_tiling(&sched.machine);
     let variant = serve_variant();
-    let plan = blocking::active_plan::<f64>();
     let a = BlockMatrix::pseudo_random(spec.m, spec.z, spec.q, spec.seed_a);
     let b = BlockMatrix::pseudo_random(spec.z, spec.n, spec.q, spec.seed_b);
     let trace_job = span::new_job();
     let epoch_ns = span::now_ns();
     let strassen = spec.algo == "strassen";
     let c = if strassen {
-        let opts = StrassenOpts { cutoff: crate::strassen::DEFAULT_CUTOFF, variant, plan, tiling };
+        let opts = StrassenOpts {
+            variant,
+            tiling,
+            ..StrassenOpts::with_cutoff::<f64>(crate::strassen::DEFAULT_CUTOFF)
+        };
         strassen_multiply_cancellable(&a, &b, &opts, Some(token)).map(|(c, _report)| c)
     } else {
         let mut c = BlockMatrix::zeros(spec.m, spec.n, spec.q);
-        let opts = GemmOpts { variant, plan, cancel: Some(token) };
+        let opts = GemmOpts { variant, cancel: Some(token) };
         gemm_into(&mut c, &a, &b, tiling, &opts).then_some(c)
     };
     let spans = span::collect_job(trace_job);
     let Some(c) = c else {
         return JobState::Cancelled;
     };
-    // The drift model prices the classic 5-loop schedule; a Strassen run
+    // The drift model prices the classic block schedule; a Strassen run
     // intentionally does less multiplication work, so comparing it would
     // only report the algorithmic gap as "drift".
     let drift = if strassen {
         None
     } else {
-        let run = TracedRun { job: trace_job, epoch_ns, variant, plan, spans };
-        let model = ExecModel::for_run(&a, &b, tiling, variant);
+        let run = TracedRun { job: trace_job, epoch_ns, variant, spans };
+        let model = ExecModel::for_run(&a, &b, variant);
         Some(exec_drift(&run, &model, sched.band))
     };
     JobState::Done(Box::new(JobReport {
@@ -316,7 +318,7 @@ fn run_ooc_job(
             trace_job: report.trace_job,
             elapsed_seconds: started.elapsed().as_secs_f64(),
             price: price.clone(),
-            peak_resident_bytes: report.peak_resident_bytes + report.pack_arena_bound_bytes,
+            peak_resident_bytes: report.peak_resident_bytes,
             within_budget: report.within_budget,
             checksum: None,
             out: Some(spec.out.clone()),

@@ -4,8 +4,8 @@
 //! paper's closed forms: predicted FLOPs (`2mnzq³`), the three-term
 //! `T_data` ([`TData3`] — in-core jobs through [`TData3::in_core`],
 //! out-of-core jobs with `M_F` from [`OocStaging::disk_blocks`]), and a
-//! peak-resident-bytes footprint (operands plus the packing arenas for
-//! in-memory shapes, the staged ring plus arenas for `.tiled` jobs).
+//! peak-resident-bytes footprint (the three operands for in-memory
+//! shapes, the staged ring for `.tiled` jobs).
 //!
 //! The admission controller is the Tradeoff constraint lifted to the
 //! server: jobs whose predicted footprint exceeds the whole RAM budget
@@ -19,9 +19,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use crate::core::params::{ooc_staging, CoreGrid};
+use crate::core::params::ooc_staging;
 use crate::core::{formulas, OocStaging, ProblemSpec};
-use crate::exec::{blocking, CancelToken, Tiling};
+use crate::exec::{CancelToken, Tiling};
 use crate::obs::DriftReport;
 use crate::ooc::{default_sigma_f, RING_SLOTS};
 use crate::sim::{strassen as sim_strassen, CostEnv, MachineConfig, TData3};
@@ -43,7 +43,7 @@ pub struct MemJobSpec {
     pub seed_a: u64,
     /// Seed for `B = pseudo_random(z, n, q, seed_b)`.
     pub seed_b: u64,
-    /// Algorithm the job runs: `"classic"` (packed 5-loop) or
+    /// Algorithm the job runs: `"classic"` (the block executor) or
     /// `"strassen"` (Winograd recursion over Morton blocks). Strassen
     /// jobs are admitted with the recursion workspace added to their
     /// footprint.
@@ -122,23 +122,6 @@ pub fn default_tiling(machine: &MachineConfig) -> Tiling {
     })
 }
 
-/// Worker count the packing-arena bound assumes: the compute pool's
-/// threads plus the coordinating caller.
-fn arena_workers() -> u64 {
-    std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(4) + 1
-}
-
-/// Analytic bound on the thread-local packing arenas of one in-core
-/// multiply: per worker, one `MC×KC` `A` panel and one `KC×NC` `B`
-/// panel (each clamped to the problem extents).
-fn pack_arena_bound(m: u32, n: u32, z: u32, q: usize) -> u64 {
-    let plan = blocking::active_plan::<f64>();
-    let (me, ne, ze) = (m as u64 * q as u64, n as u64 * q as u64, z as u64 * q as u64);
-    let a_panel = (plan.mc as u64).min(me) * (plan.kc as u64).min(ze);
-    let b_panel = (plan.kc as u64).min(ze) * (plan.nc as u64).min(ne);
-    arena_workers() * (a_panel + b_panel) * 8
-}
-
 /// The in-core miss predictions `(M_S, M_D)` of the configured machine
 /// for an `m×n×z` block product (Tradeoff, falling back to Shared Opt).
 fn in_core_misses(m: u32, n: u32, z: u32, machine: &MachineConfig) -> (f64, f64) {
@@ -149,8 +132,8 @@ fn in_core_misses(m: u32, n: u32, z: u32, machine: &MachineConfig) -> (f64, f64)
         .unwrap_or((0.0, 0.0))
 }
 
-/// Price an in-memory job: all three operands resident plus the packing
-/// arenas; no disk leg in `T_data`. Strassen jobs additionally reserve
+/// Price an in-memory job: all three operands resident; no disk leg in
+/// `T_data`. Strassen jobs additionally reserve
 /// the Morton copies of the padded operands plus the pooled recursion
 /// workspace, and their `T_data`/FLOPs come from the recursion's closed
 /// forms ([`sim_strassen`]) instead of the classic schedule predictions.
@@ -163,7 +146,6 @@ pub fn price_mem(spec: &MemJobSpec, machine: &MachineConfig) -> Result<JobPrice,
     let operand_blocks = m as u64 * z as u64 + z as u64 * n as u64 + m as u64 * n as u64;
     let footprint_bytes = operand_blocks
         .checked_mul(block_bytes)
-        .and_then(|b| b.checked_add(pack_arena_bound(m, n, z, q)))
         .ok_or_else(|| format!("job footprint overflows: {operand_blocks} blocks of {q}x{q}"))?;
     if spec.algo == "strassen" {
         let base = m.max(n).max(z) as u64;
@@ -202,9 +184,9 @@ pub fn price_mem(spec: &MemJobSpec, machine: &MachineConfig) -> Result<JobPrice,
 
 /// Price an out-of-core job from its shape and staging budget: the
 /// resident footprint is the `(α, β)` ring the budget buys (`C` tile
-/// plus both operand streams, [`OocStaging::resident_blocks`]) plus the
-/// in-core packing arenas; `T_data`'s disk leg prices the staging
-/// predictor's traffic at the machine's assumed disk bandwidth.
+/// plus both operand streams, [`OocStaging::resident_blocks`]);
+/// `T_data`'s disk leg prices the staging predictor's traffic at the
+/// machine's assumed disk bandwidth.
 pub fn price_ooc(
     spec: &OocJobSpec,
     m: u32,
@@ -223,12 +205,7 @@ pub fn price_ooc(
             1 + 2 * RING_SLOTS as u64
         )
     })?;
-    // The inner compute tiling clamps the arena like the ooc driver's
-    // √p split does.
-    let pr = CoreGrid::square(machine.cores).map(|g| g.rows).unwrap_or(1).max(1);
-    let tile = staging.alpha.div_ceil(pr).max(1);
-    let arena = arena_workers() * (2 * tile as u64) * staging.beta as u64 * block_bytes;
-    let footprint_bytes = staging.resident_blocks() * block_bytes + arena;
+    let footprint_bytes = staging.resident_blocks() * block_bytes;
     let (ms, md) = in_core_misses(m, n, z, machine);
     let t_data = TData3 {
         mf: staging.disk_blocks(m, n, z) as f64,
@@ -572,7 +549,7 @@ impl Scheduler {
 
     /// Cancel a job: a queued job leaves the queue immediately; a
     /// running job's token is tripped and the worker observes it at the
-    /// next macro-loop / panel-stage boundary. Returns the state name
+    /// next `k` step of a work unit or panel-stage boundary. Returns the state name
     /// after the request, or `None` for an unknown id.
     pub fn cancel(&self, id: u64) -> Option<&'static str> {
         let mut st = self.state.lock().unwrap();
@@ -660,11 +637,11 @@ mod tests {
     }
 
     #[test]
-    fn mem_price_counts_operands_and_arenas() {
+    fn mem_price_counts_the_three_operands() {
         let machine = MachineConfig::quad_q32();
         let p = price_mem(&mem_spec(4, 5, 6, 8), &machine).unwrap();
         let operand_bytes = (4 * 6 + 6 * 5 + 4 * 5) as u64 * (8 * 8 * 8) as u64;
-        assert!(p.footprint_bytes >= operand_bytes);
+        assert_eq!(p.footprint_bytes, operand_bytes);
         assert_eq!(p.flops, 2.0 * 512.0 * 4.0 * 5.0 * 6.0);
         assert!(p.t_data.is_finite() && p.t_data > 0.0);
         assert!(p.staging.is_none());

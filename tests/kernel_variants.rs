@@ -112,7 +112,7 @@ fn executor_paths_are_bit_identical_for_all_tilings() {
 }
 
 /// Forcing each available variant through the public
-/// `gemm_parallel_with_plan` API agrees with the oracle within
+/// `gemm_parallel_with_kernel` API agrees with the oracle within
 /// rounding (scalar is unfused, SIMD is fused, so `==` only holds
 /// within one variant — across variants we use a tolerance).
 #[test]
@@ -123,8 +123,7 @@ fn forced_variants_agree_with_oracle() {
     let want = gemm_naive(&a, &b);
     let tiling = Tiling::tradeoff(&machine).unwrap();
     for v in kernel::variants_available() {
-        let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
-        let got = gemm_parallel_with_plan(&a, &b, tiling, v, plan);
+        let got = gemm_parallel_with_kernel(&a, &b, tiling, v);
         assert!(
             got.max_abs_diff(&want) <= 1e-10,
             "variant {v}: max diff {}",
@@ -152,19 +151,12 @@ fn ragged_side() -> impl Strategy<Value = usize> {
     (1usize..48).prop_map(|q| if q % 8 == 0 { q + 1 } else { q })
 }
 
-/// A random 5-loop plan, from finer than one block to whole-problem
-/// panels.
-fn any_plan() -> impl Strategy<Value = BlockingPlan> {
-    (1usize..400, 1usize..400, 1usize..800).prop_map(|(mc, kc, nc)| BlockingPlan { mc, kc, nc })
-}
-
-/// `gemm_into` under `avx512_fma` and under `avx2_fma`, each with its own
-/// plan, from the same non-zero starting `C`.
+/// `gemm_into` under `avx512_fma` and under `avx2_fma`, from the same
+/// non-zero starting `C`.
 fn zmm_vs_ymm<T: Element>(
     q: usize,
     (m, n, z): (u32, u32, u32),
     tiling: Tiling,
-    plans: [BlockingPlan; 2],
     seed: u64,
 ) -> [BlockMatrixOf<T>; 2] {
     let a = BlockMatrixOf::<T>::pseudo_random(m, z, q, seed);
@@ -173,7 +165,7 @@ fn zmm_vs_ymm<T: Element>(
     let variants = [KernelVariant::Avx512Fma, KernelVariant::Avx2Fma];
     std::array::from_fn(|i| {
         let mut c = c0.clone();
-        let opts = GemmOpts { variant: variants[i], plan: plans[i], cancel: None };
+        let opts = GemmOpts { variant: variants[i], cancel: None };
         assert!(gemm_into(&mut c, &a, &b, tiling, &opts));
         c
     })
@@ -184,22 +176,20 @@ proptest! {
 
     /// The fused SIMD variants differ only in which `C` elements share a
     /// register, never in an element's fused ascending-`k` chain, so the
-    /// ZMM and YMM f64 products are bit-identical under any plans.
+    /// ZMM and YMM f64 products are bit-identical.
     #[test]
     fn zmm_and_ymm_f64_products_are_bit_identical(
         q in ragged_side(),
         dims in (1u32..4, 1u32..4, 1u32..5),
         tile in (1u32..4, 1u32..4),
-        plan_zmm in any_plan(),
-        plan_ymm in any_plan(),
         seed in any::<u64>(),
     ) {
         if !zmm_and_ymm() {
             return Ok(());
         }
         let tiling = Tiling { tile_m: tile.0, tile_n: tile.1, tile_k: 1 };
-        let [zmm, ymm] = zmm_vs_ymm::<f64>(q, dims, tiling, [plan_zmm, plan_ymm], seed);
-        prop_assert!(zmm == ymm, "q={q} dims={dims:?} plans {plan_zmm} / {plan_ymm}");
+        let [zmm, ymm] = zmm_vs_ymm::<f64>(q, dims, tiling, seed);
+        prop_assert!(zmm == ymm, "q={q} dims={dims:?}");
     }
 
     /// The same bit identity for f32 (8×32 against 6×16 tiles).
@@ -208,16 +198,14 @@ proptest! {
         q in ragged_side(),
         dims in (1u32..4, 1u32..4, 1u32..5),
         tile in (1u32..4, 1u32..4),
-        plan_zmm in any_plan(),
-        plan_ymm in any_plan(),
         seed in any::<u64>(),
     ) {
         if !zmm_and_ymm() {
             return Ok(());
         }
         let tiling = Tiling { tile_m: tile.0, tile_n: tile.1, tile_k: 1 };
-        let [zmm, ymm] = zmm_vs_ymm::<f32>(q, dims, tiling, [plan_zmm, plan_ymm], seed);
-        prop_assert!(zmm == ymm, "q={q} dims={dims:?} plans {plan_zmm} / {plan_ymm}");
+        let [zmm, ymm] = zmm_vs_ymm::<f32>(q, dims, tiling, seed);
+        prop_assert!(zmm == ymm, "q={q} dims={dims:?}");
     }
 
     /// The unpacked block kernels (`block_fma`, behind `gemm_naive` and

@@ -34,8 +34,7 @@ fn exec_flop_counter_matches_simulator_fma_count() {
     let tiling = Tiling::tradeoff(&machine).expect("tradeoff feasible on q32");
 
     let before = obs::global().snapshot();
-    let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
-    let c = gemm_parallel_with_plan(&a, &b, tiling, KernelVariant::Scalar, plan);
+    let c = gemm_parallel_with_kernel(&a, &b, tiling, KernelVariant::Scalar);
     let after = obs::global().snapshot();
     std::hint::black_box(&c);
 

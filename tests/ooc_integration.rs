@@ -95,9 +95,8 @@ proptest! {
             "peak {} > budget {}", report.peak_resident_bytes, report.budget_bytes);
         let a = BlockMatrix::pseudo_random(m, z, q, seed);
         let b = BlockMatrix::pseudo_random(z, n, q, seed + 1);
-        let want = gemm_parallel_with_plan(
-            &a, &b, Tiling { tile_m: 2, tile_n: 2, tile_k: 3 }, opts.variant,
-            multicore_matmul::exec::blocking::active_plan::<f64>());
+        let want = gemm_parallel_with_kernel(
+            &a, &b, Tiling { tile_m: 2, tile_n: 2, tile_k: 3 }, opts.variant);
         let got = TiledFile::open(&c_path).unwrap().read_matrix().unwrap();
         prop_assert_eq!(got, want);
         for p in [&a_path, &b_path, &c_path] {
@@ -137,14 +136,8 @@ fn ooc_multiply_is_bit_identical_for_every_kernel_variant() {
         let got = TiledFile::open(&c_path).unwrap().read_matrix().unwrap();
         // Compare against a *different* tiling than the ooc staging uses:
         // bit-identity must hold across decompositions.
-        let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
-        let want = gemm_parallel_with_plan(
-            &a,
-            &b,
-            Tiling { tile_m: 4, tile_n: 5, tile_k: 2 },
-            variant,
-            plan,
-        );
+        let want =
+            gemm_parallel_with_kernel(&a, &b, Tiling { tile_m: 4, tile_n: 5, tile_k: 2 }, variant);
         assert_eq!(got, want, "ooc != in-core for {}", variant.name());
     }
 }

@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
-use multicore_matmul::exec::{blocking, gemm_parallel_with_plan, BlockMatrix};
+use multicore_matmul::exec::{gemm_parallel_with_kernel, BlockMatrix};
 use multicore_matmul::ooc::{ooc_multiply, write_pseudo_random, OocOpts};
 use multicore_matmul::serve::{
     checksum_f64, default_tiling, price_mem, price_ooc, serve_variant, MemJobSpec, OocJobSpec,
@@ -163,11 +163,10 @@ fn concurrent_jobs_pack_within_budget_and_match_direct_apis() {
     // gemm over the same deterministic operands.
     let tiling = default_tiling(&machine);
     let variant = serve_variant();
-    let plan = blocking::active_plan::<f64>();
     for (spec, report) in mem_specs.iter().zip(&reports) {
         let a = BlockMatrix::pseudo_random(spec.m, spec.z, spec.q, spec.seed_a);
         let b = BlockMatrix::pseudo_random(spec.z, spec.n, spec.q, spec.seed_b);
-        let c = gemm_parallel_with_plan(&a, &b, tiling, variant, plan);
+        let c = gemm_parallel_with_kernel(&a, &b, tiling, variant);
         assert_eq!(
             report.get("checksum").and_then(Value::as_u64),
             Some(checksum_f64(c.data())),
@@ -255,7 +254,7 @@ fn served_jobs_share_one_host_measurement() {
             .and_then(Value::as_array)
             .unwrap_or_else(|| panic!("job {id} carries exec drift phases: {resp:?}"));
         let names: Vec<&str> = phases.iter().map(|p| str_of(p, "phase")).collect();
-        assert_eq!(names, ["tile", "jc", "pc", "ic", "pack_a", "pack_b"], "job {id}");
+        assert_eq!(names, ["tile"], "job {id}");
         for p in phases {
             for key in ["ratio", "units_ratio"] {
                 let r = p.get(key).and_then(Value::as_f64);
@@ -355,13 +354,7 @@ fn cancellation_leaves_the_pool_serving() {
     assert_eq!(str_of(&s3, "state"), "done", "pool keeps serving after cancellations: {s3:?}");
     let a = BlockMatrix::pseudo_random(small.m, small.z, small.q, small.seed_a);
     let b = BlockMatrix::pseudo_random(small.z, small.n, small.q, small.seed_b);
-    let c = gemm_parallel_with_plan(
-        &a,
-        &b,
-        default_tiling(&machine),
-        serve_variant(),
-        blocking::active_plan::<f64>(),
-    );
+    let c = gemm_parallel_with_kernel(&a, &b, default_tiling(&machine), serve_variant());
     let report = s3.get("report").expect("report");
     assert_eq!(report.get("checksum").and_then(Value::as_u64), Some(checksum_f64(c.data())));
 
@@ -417,10 +410,9 @@ fn strassen_jobs_reserve_workspace_and_match_the_direct_api() {
     let a = BlockMatrix::pseudo_random(strassen.m, strassen.z, strassen.q, strassen.seed_a);
     let b = BlockMatrix::pseudo_random(strassen.z, strassen.n, strassen.q, strassen.seed_b);
     let opts = StrassenOpts {
-        cutoff: DEFAULT_CUTOFF,
         variant: serve_variant(),
-        plan: blocking::active_plan::<f64>(),
         tiling: default_tiling(&machine),
+        ..StrassenOpts::with_cutoff::<f64>(DEFAULT_CUTOFF)
     };
     let (c, report) = strassen_multiply(&a, &b, &opts);
     assert!(report.depth > 0, "16 blocks above the default cutoff must recurse");

@@ -30,10 +30,9 @@ fn exec_span_flops_reconcile_with_registry_counters() {
     let b = BlockMatrix::pseudo_random(order, order, q, 42);
     let tiling = Tiling { tile_m: 2, tile_n: 3, tile_k: 1 };
     let variant = multicore_matmul::exec::kernel::variant();
-    let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
 
     let before = obs::global().snapshot();
-    let (c, run) = run_traced(&a, &b, tiling, variant, plan);
+    let (c, run) = run_traced(&a, &b, tiling, variant);
     let after = obs::global().snapshot();
     assert_eq!(c, gemm_naive(&a, &b), "traced product stays bit-identical");
 
@@ -46,15 +45,10 @@ fn exec_span_flops_reconcile_with_registry_counters() {
         counter_delta(&before, &after, &format!("exec.flops.{}", variant.name())),
         "span FLOP total must equal the registry's counter delta"
     );
-    // Every span belongs to the run's job, and every loop level that
-    // recorded covers the same total (each level tiles the problem).
+    // Every span belongs to the run's job, and the executor records
+    // one tile span per work unit and nothing else.
     assert!(run.spans.iter().all(|s| s.job == run.job));
-    for kind in [SpanKind::LoopJc, SpanKind::LoopIc] {
-        let level: u64 = run.spans.iter().filter(|s| s.kind == kind).map(|s| s.val).sum();
-        if level > 0 {
-            assert_eq!(level, closed_form, "{} level must cover the problem", kind.name());
-        }
-    }
+    assert!(run.spans.iter().all(|s| s.kind == SpanKind::Tile));
 }
 
 /// Drift reports for both legs have the pinned phase structure: every
@@ -65,21 +59,20 @@ fn drift_reports_have_golden_structure() {
     if !span::enabled() {
         return;
     }
-    // Exec leg: whole-problem tile so the five-loop forms apply exactly.
+    // Exec leg: one whole-problem tile.
     let (order, q) = (4u32, 8usize);
     let a = BlockMatrix::pseudo_random(order, order, q, 51);
     let b = BlockMatrix::pseudo_random(order, order, q, 52);
     let tiling = Tiling { tile_m: order, tile_n: order, tile_k: 1 };
     let variant = multicore_matmul::exec::kernel::variant();
-    let plan = multicore_matmul::exec::blocking::active_plan::<f64>();
-    let (_c, run) = run_traced(&a, &b, tiling, variant, plan);
-    let model = ExecModel::for_run(&a, &b, tiling, variant);
+    let (_c, run) = run_traced(&a, &b, tiling, variant);
+    let model = ExecModel::for_run(&a, &b, variant);
     let exec_report = exec_drift(&run, &model, 1.0);
     assert_eq!(exec_report.source, "exec");
     assert_eq!(exec_report.job, run.job);
     assert!(exec_report.all_finite());
     let names: Vec<&str> = exec_report.phases.iter().map(|p| p.phase.as_str()).collect();
-    assert!(names.contains(&"tile") && names.contains(&"pc"), "{names:?}");
+    assert_eq!(names, ["tile"]);
     for p in exec_report.phases.iter().filter(|p| p.unit == "flop") {
         assert!(
             (p.units_ratio - 1.0).abs() < 1e-12,
