@@ -12,7 +12,9 @@
 //! ~5x-undersized RAM budget, and one `roofline` point per kernel
 //! variant and element width — arithmetic intensity, GFLOP/s, measured
 //! STREAM-triad bandwidth, percent-of-peak, and the `µ` of the
-//! executor's work units) and
+//! executor's work units, plus the operand generator's
+//! `gen_pseudo_random/o40` and `gen_stream/<path>` records, each a median
+//! with quartiles) and
 //! `BENCH_sim.json` (simulator event throughput per algorithm) into the
 //! output directory (default `.`).
 //!
@@ -23,14 +25,14 @@
 
 use mmc_bench::figures::SweepOpts;
 use mmc_bench::perf::{
-    best_seconds, regressions, write_records, write_report, PerfRecord, PerfReport,
+    best_seconds, regressions, sampled_seconds, write_records, write_report, PerfRecord, PerfReport,
 };
 use mmc_bench::{run_figure_sharded, HarnessOpts, Setting};
 use mmc_core::algorithms::all_algorithms;
 use mmc_core::ProblemSpec;
 use mmc_exec::{
-    blocking, exec_drift, gemm_parallel, gemm_parallel_with_kernel, kernel, run_traced,
-    BlockMatrix, BlockMatrixOf, ExecModel, Tiling,
+    blocking, exec_drift, extend_pseudo_random, gemm_parallel, gemm_parallel_with_kernel, kernel,
+    run_traced, BlockMatrix, BlockMatrixOf, ExecModel, StreamPath, Tiling,
 };
 use mmc_obs::{span, PerfCounters, RooflineRecord};
 use mmc_sim::MachineConfig;
@@ -129,6 +131,7 @@ fn main() {
             work: flops,
             rate_unit: "flop".into(),
             kernel: dispatched.into(),
+            spread: None,
         });
         let secs = best_seconds(10, || {
             std::hint::black_box(one_thread.install(|| gemm_parallel(&a, &b, tiling)));
@@ -141,6 +144,7 @@ fn main() {
             work: flops,
             rate_unit: "flop".into(),
             kernel: dispatched.into(),
+            spread: None,
         });
     }
 
@@ -170,6 +174,7 @@ fn main() {
                 work: kflops,
                 rate_unit: "flop".into(),
                 kernel: v.name().into(),
+                spread: None,
             });
             // One extra counted run puts the variant under the roofline
             // (bytes from LLC misses when the PMU is live).
@@ -206,6 +211,7 @@ fn main() {
                 work: kflops,
                 rate_unit: "flop".into(),
                 kernel: kname.clone(),
+                spread: None,
             });
             roofline.push(roofline_point(
                 &format!("gemm_q64_f32/{}", v.name()),
@@ -241,6 +247,7 @@ fn main() {
             work: kflops,
             rate_unit: "flop".into(),
             kernel: v.name().into(),
+            spread: None,
         });
         // Drift leg: one whole-problem-tile traced run, its tile phase
         // held to account against the FLOP roof.
@@ -284,6 +291,7 @@ fn main() {
                 work: sflops,
                 rate_unit: "flop".into(),
                 kernel: v.name().into(),
+                spread: None,
             });
         }
         let sorder = 8u32;
@@ -304,6 +312,7 @@ fn main() {
                 work,
                 rate_unit: "flop".into(),
                 kernel: dispatched.into(),
+                spread: None,
             });
         }
         // Crossover sweep at q=32 so the cubic growth stays affordable:
@@ -340,7 +349,53 @@ fn main() {
             work: 0.0,
             rate_unit: "blocks".into(),
             kernel: dispatched.into(),
+            spread: None,
         });
+    }
+    // Operand generation: gemm_ladder's largest operand (order 40, q =
+    // 64, 52 MB) synthesized from scratch on the pool, first-touch page
+    // faults included, as a median over 11 runs; then each stream path
+    // refilling a cache-resident buffer on one thread (ns/element of the
+    // routine itself).
+    {
+        let (gorder, gq) = (40u32, 64usize);
+        let spread = sampled_seconds(11, || {
+            std::hint::black_box(BlockMatrix::pseudo_random(gorder, gorder, gq, 9));
+        });
+        exec_records.push(PerfRecord {
+            suite: "exec".into(),
+            name: format!("gen_pseudo_random/o{gorder}"),
+            order: gorder,
+            seconds: spread.median_s,
+            work: (gorder as f64 * gq as f64).powi(2) * 8.0,
+            rate_unit: "byte".into(),
+            kernel: "-".into(),
+            spread: Some(spread),
+        });
+        let (sorder, sq) = (4u32, 32usize);
+        let mut buf: Vec<f64> = Vec::with_capacity((sorder * sorder) as usize * sq * sq);
+        for path in StreamPath::ALL.into_iter().filter(|p| p.is_available()) {
+            let spread = sampled_seconds(11, || {
+                one_thread.install(|| {
+                    for seed in 0..64 {
+                        buf.clear();
+                        let blocks = 0..(sorder * sorder) as usize;
+                        extend_pseudo_random(&mut buf, sorder, sq, blocks, seed, path);
+                    }
+                });
+                std::hint::black_box(&buf);
+            });
+            exec_records.push(PerfRecord {
+                suite: "exec".into(),
+                name: format!("gen_stream/{}", path.name()),
+                order: sorder,
+                seconds: spread.median_s,
+                work: 64.0 * buf.len() as f64,
+                rate_unit: "elem".into(),
+                kernel: "-".into(),
+                spread: Some(spread),
+            });
+        }
     }
     // Out-of-core suite: the same product streamed from tiled files on
     // disk through the double-buffered prefetch pipeline, with a RAM
@@ -372,6 +427,7 @@ fn main() {
             work: flops,
             rate_unit: "flop".into(),
             kernel: dispatched.into(),
+            spread: None,
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -457,6 +513,7 @@ fn main() {
             work: fmas as f64,
             rate_unit: "block_fmas".into(),
             kernel: "-".into(),
+            spread: None,
         });
     }
     // Sharded figure harness: serial vs pooled wall-clock for one
@@ -477,6 +534,7 @@ fn main() {
         work: points as f64,
         rate_unit: "points".into(),
         kernel: "-".into(),
+        spread: None,
     });
     let jobs = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
     let sharded_secs = best_seconds(2, || {
@@ -492,6 +550,7 @@ fn main() {
         work: points as f64,
         rate_unit: "points".into(),
         kernel: "-".into(),
+        spread: None,
     });
     println!(
         "figures fig4: serial {serial_secs:.3}s, --jobs {jobs} {sharded_secs:.3}s ({:.2}x)",

@@ -20,7 +20,8 @@ pub struct PerfRecord {
     pub name: String,
     /// Problem order (blocks per matrix dimension).
     pub order: u32,
-    /// Best observed wall-clock seconds.
+    /// Wall-clock seconds: the best of the timed runs, or their median
+    /// when [`PerfRecord::spread`] is present.
     pub seconds: f64,
     /// Work per run, in the unit named by `rate_unit` (0 if untimed work).
     pub work: f64,
@@ -32,6 +33,24 @@ pub struct PerfRecord {
     /// speedups to the kernel in use.
     #[serde(default = "PerfRecord::no_kernel")]
     pub kernel: String,
+    /// Sample statistics of a record timed as a median over several runs
+    /// (absent for best-of-N records and in files written before the
+    /// field).
+    #[serde(default)]
+    pub spread: Option<Spread>,
+}
+
+/// The distribution of a record's timed runs.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Spread {
+    /// Timed runs.
+    pub samples: u32,
+    /// Median seconds.
+    pub median_s: f64,
+    /// First-quartile seconds.
+    pub q1_s: f64,
+    /// Third-quartile seconds.
+    pub q3_s: f64,
 }
 
 impl PerfRecord {
@@ -179,6 +198,22 @@ pub fn best_seconds<F: FnMut()>(runs: u32, mut f: F) -> f64 {
     best
 }
 
+/// Time `f` (one warmup + `runs` timed runs) and return the median and
+/// quartiles of the timed runs.
+pub fn sampled_seconds<F: FnMut()>(runs: u32, mut f: F) -> Spread {
+    f();
+    let mut secs: Vec<f64> = (0..runs.max(1))
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let at = |frac: f64| secs[((secs.len() - 1) as f64 * frac).round() as usize];
+    Spread { samples: secs.len() as u32, median_s: at(0.5), q1_s: at(0.25), q3_s: at(0.75) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +230,7 @@ mod tests {
             work: 1.0e9,
             rate_unit: "flop".into(),
             kernel: "avx2_fma".into(),
+            spread: None,
         }];
         let path = write_records(&dir, "exec", &records).unwrap();
         assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_exec.json");
@@ -224,6 +260,7 @@ mod tests {
             work: 1.0e9,
             rate_unit: "flop".into(),
             kernel: "scalar".into(),
+            spread: None,
         }
     }
 
@@ -270,6 +307,19 @@ mod tests {
         // Fresh reports carry the stamp.
         let rep = PerfReport::new("exec", vec![], vec![]);
         assert_eq!(rep.git_commit, c);
+    }
+
+    #[test]
+    fn sampled_seconds_orders_its_quartiles() {
+        let s = sampled_seconds(5, || {
+            std::hint::black_box((0..1000u64).sum::<u64>());
+        });
+        assert_eq!(s.samples, 5);
+        assert!(0.0 <= s.q1_s && s.q1_s <= s.median_s && s.median_s <= s.q3_s);
+        // A record with a spread round-trips.
+        let r = PerfRecord { spread: Some(s.clone()), ..rec("gen", s.median_s) };
+        let back: PerfRecord = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+        assert_eq!(back.spread, Some(s));
     }
 
     #[test]

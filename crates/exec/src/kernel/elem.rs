@@ -16,10 +16,22 @@
 //! executors of the same type and variant stay bit-identical.
 
 use super::{scalar, KernelVariant};
+use crate::matrix::{stream_scalar, StreamPath};
+use std::mem::MaybeUninit;
 
-/// A scalar type the kernel stack can multiply: `f64` or `f32`.
+/// Keeps [`Element`] implemented by `f64` and `f32` only:
+/// [`crate::matrix::extend_pseudo_random`] marks memory initialised on
+/// the strength of their [`Element::fill_stream`] writing every element.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
+/// A scalar type the kernel stack can multiply: `f64` or `f32` (sealed).
 pub trait Element:
-    Copy
+    sealed::Sealed
+    + Copy
     + Send
     + Sync
     + PartialEq
@@ -43,6 +55,19 @@ pub trait Element:
     /// `c += a × b` on unpacked row-major `q×q` blocks through variant
     /// `v` — the entry the schedule replayer and the naive oracle use.
     fn block_fma(v: KernelVariant, c: &mut [Self], a: &[Self], b: &[Self], q: usize);
+
+    /// Write the operand stream of [`crate::BlockMatrixOf::pseudo_random`]
+    /// over a `width`-wide window: element `(row + r, col + t)` into
+    /// `out[r·width + t]` for every whole row of `out`, through `path`
+    /// (the scalar formula when `path` is not available here).
+    fn fill_stream(
+        path: StreamPath,
+        out: &mut [MaybeUninit<Self>],
+        width: usize,
+        seed: u64,
+        row: usize,
+        col: usize,
+    );
 }
 
 impl Element for f64 {
@@ -86,6 +111,25 @@ impl Element for f64 {
             _ => scalar::block_fma_scalar(c, a, b, q),
         }
     }
+
+    #[inline]
+    fn fill_stream(
+        path: StreamPath,
+        out: &mut [MaybeUninit<f64>],
+        width: usize,
+        seed: u64,
+        row: usize,
+        col: usize,
+    ) {
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_available` verified AVX-512F and AVX-512DQ.
+            StreamPath::Avx512Dq if path.is_available() => unsafe {
+                crate::matrix::x86::stream_f64(out, width, seed, row, col)
+            },
+            _ => stream_scalar(out, width, seed, row, col),
+        }
+    }
 }
 
 impl Element for f32 {
@@ -127,6 +171,25 @@ impl Element for f32 {
                 super::neon::block_fma_neon_f32(c, a, b, q)
             },
             _ => scalar::block_fma_scalar(c, a, b, q),
+        }
+    }
+
+    #[inline]
+    fn fill_stream(
+        path: StreamPath,
+        out: &mut [MaybeUninit<f32>],
+        width: usize,
+        seed: u64,
+        row: usize,
+        col: usize,
+    ) {
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_available` verified AVX-512F and AVX-512DQ.
+            StreamPath::Avx512Dq if path.is_available() => unsafe {
+                crate::matrix::x86::stream_f32(out, width, seed, row, col)
+            },
+            _ => stream_scalar(out, width, seed, row, col),
         }
     }
 }

@@ -44,7 +44,7 @@ pub use blocking::{parse_bytes, BlockingPlan};
 pub use job::CancelToken;
 pub use kernel::elem::Element;
 pub use kernel::KernelVariant;
-pub use matrix::{BlockMatrix, BlockMatrixOf};
+pub use matrix::{extend_pseudo_random, BlockMatrix, BlockMatrixOf, StreamPath};
 pub use naive::gemm_naive;
 pub use runner::{
     gemm_into, gemm_parallel, gemm_parallel_with_kernel, gemm_parallel_with_plan, run_schedule,

@@ -13,6 +13,10 @@
 //! same executors via the [`Element`] abstraction.
 
 use crate::kernel::elem::Element;
+use rayon::prelude::*;
+use std::mem::MaybeUninit;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// A dense matrix stored as square `q×q` blocks of `T`.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,38 +73,17 @@ impl<T: Element> BlockMatrixOf<T> {
     /// from the same underlying pattern (and `f64` matrices are
     /// bit-stable across releases).
     ///
-    /// Values are identical to hashing `(i << 32 | j) · M` per element;
-    /// the constant multiply is hoisted — `(i·2³² | j)·M = (i·2³²)·M +
-    /// j·M (mod 2⁶⁴)` since `j < 2³²` — so each row pays one multiply
-    /// and each element one add.
+    /// Element `(i, j)` hashes `(i << 32 | j) · M` and maps the result to
+    /// `[-1, 1)`. The matrix is generated in parallel on the rayon pool
+    /// through the fastest [`StreamPath`] this CPU has (see
+    /// [`extend_pseudo_random`]); every path and thread count gives the
+    /// same stream, bit for bit.
     #[must_use]
     pub fn pseudo_random(rows: u32, cols: u32, q: usize, seed: u64) -> BlockMatrixOf<T> {
-        const M: u64 = 0x9E3779B97F4A7C15;
-        let mut m = BlockMatrixOf::zeros(rows, cols, q);
-        for bi in 0..rows {
-            for bj in 0..cols {
-                let base_i = bi as usize * q;
-                let base_j = bj as usize * q;
-                let blk = m.block_mut(bi, bj);
-                for ii in 0..q {
-                    let row_mul = (((base_i + ii) as u64) << 32).wrapping_mul(M);
-                    let mut col_mul = (base_j as u64).wrapping_mul(M);
-                    for jj in 0..q {
-                        let mut x = seed ^ row_mul.wrapping_add(col_mul);
-                        x ^= x >> 30;
-                        x = x.wrapping_mul(0xBF58476D1CE4E5B9);
-                        x ^= x >> 27;
-                        x = x.wrapping_mul(0x94D049BB133111EB);
-                        x ^= x >> 31;
-                        // Map to [-1, 1) to keep products well-conditioned.
-                        blk[ii * q + jj] =
-                            T::from_f64((x >> 11) as f64 / (1u64 << 52) as f64 - 1.0);
-                        col_mul = col_mul.wrapping_add(M);
-                    }
-                }
-            }
-        }
-        m
+        let blocks = rows as usize * cols as usize;
+        let mut data = Vec::new();
+        extend_pseudo_random(&mut data, cols, q, 0..blocks, seed, StreamPath::detected());
+        BlockMatrixOf::from_vec(rows, cols, q, data)
     }
 
     /// Wrap an existing block-major buffer (row-major `q×q` blocks, blocks
@@ -218,6 +201,261 @@ impl<T: Element> BlockMatrixOf<T> {
     }
 }
 
+/// splitmix64's increment (the golden ratio in 64 bits); it also spreads
+/// the element coordinates of the operand stream.
+const GOLDEN: u64 = 0x9E3779B97F4A7C15;
+
+/// Elements one generation task writes at least (256 KiB of `f64`), so
+/// small operands skip the pool dispatch.
+const MIN_TASK_ELEMS: usize = 1 << 15;
+
+/// The routine that writes each block of the operand stream
+/// ([`BlockMatrixOf::pseudo_random`]). All paths write the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamPath {
+    /// The per-element formula, one element at a time (every target).
+    Scalar,
+    /// Eight AVX-512DQ lanes of the same finalizer (`vpmullq`,
+    /// `vcvtuqq2pd`); the `q % 8` tail of each row runs the scalar
+    /// formula.
+    Avx512Dq,
+}
+
+impl StreamPath {
+    /// Every path, scalar first.
+    pub const ALL: [StreamPath; 2] = [StreamPath::Scalar, StreamPath::Avx512Dq];
+
+    /// Stable lowercase name, used in bench records.
+    pub fn name(self) -> &'static str {
+        match self {
+            StreamPath::Scalar => "scalar",
+            StreamPath::Avx512Dq => "avx512dq",
+        }
+    }
+
+    /// Whether the current CPU can run this path.
+    pub fn is_available(self) -> bool {
+        match self {
+            StreamPath::Scalar => true,
+            StreamPath::Avx512Dq => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    std::arch::is_x86_feature_detected!("avx512f")
+                        && std::arch::is_x86_feature_detected!("avx512dq")
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                false
+            }
+        }
+    }
+
+    /// The fastest path this CPU runs, picked once per process.
+    pub fn detected() -> StreamPath {
+        static PATH: OnceLock<StreamPath> = OnceLock::new();
+        *PATH.get_or_init(|| {
+            if StreamPath::Avx512Dq.is_available() {
+                StreamPath::Avx512Dq
+            } else {
+                StreamPath::Scalar
+            }
+        })
+    }
+}
+
+/// Append blocks `blocks` of the operand stream for `seed` to `out`:
+/// block indices count row-major over a matrix `cols` blocks wide with
+/// side `q`, so `0..rows·cols` is the whole of
+/// [`BlockMatrixOf::pseudo_random`] and `bi·cols..(bi+1)·cols` is its
+/// block row `bi`.
+///
+/// The blocks are split into contiguous runs, one rayon task each, and
+/// every task writes its own run straight into `out`'s spare capacity
+/// (no zero fill first), one block per `path` call.
+///
+/// # Panics
+/// Panics if `cols` or `q` is 0, or `path` is not available on this CPU.
+pub fn extend_pseudo_random<T: Element>(
+    out: &mut Vec<T>,
+    cols: u32,
+    q: usize,
+    blocks: Range<usize>,
+    seed: u64,
+    path: StreamPath,
+) {
+    assert!(cols > 0 && q > 0, "matrix must have at least one column and a positive block side");
+    assert!(path.is_available(), "stream path {} is not available on this CPU", path.name());
+    let q2 = q * q;
+    let len = blocks.len() * q2;
+    out.reserve_exact(len);
+    let spare = &mut out.spare_capacity_mut()[..len];
+    let threads = rayon::current_num_threads();
+    let per_task = blocks.len().div_ceil(4 * threads).max(MIN_TASK_ELEMS.div_ceil(q2));
+    // One lock per task, each taken once by the worker that claims it:
+    // the safe way to hand disjoint `&mut` runs to pool closures.
+    let runs: Vec<Mutex<&mut [MaybeUninit<T>]>> =
+        spare.chunks_mut(per_task * q2).map(Mutex::new).collect();
+    (0..runs.len()).into_par_iter().for_each(|t| {
+        let mut run = runs[t].lock().expect("each run is locked by one task only");
+        fill_blocks(&mut run, cols as usize, q, blocks.start + t * per_task, seed, path);
+    });
+    // SAFETY: the runs partition the first `len` spare elements and every
+    // task wrote all of its run: each run is whole blocks, and
+    // `fill_stream` of the sealed `Element` impls writes every element
+    // of each. A panicking task unwinds past this line.
+    unsafe { out.set_len(out.len() + len) };
+}
+
+/// Write whole blocks of the stream into `dst`, starting at block index
+/// `first` of a matrix `cols` blocks wide.
+fn fill_blocks<T: Element>(
+    dst: &mut [MaybeUninit<T>],
+    cols: usize,
+    q: usize,
+    first: usize,
+    seed: u64,
+    path: StreamPath,
+) {
+    for (k, block) in dst.chunks_exact_mut(q * q).enumerate() {
+        let (bi, bj) = ((first + k) / cols, (first + k) % cols);
+        T::fill_stream(path, block, q, seed, bi * q, bj * q);
+    }
+}
+
+/// The stream's per-element formula over a `width`-wide window: element
+/// `(row + r, col + t)` into `out[r·width + t]`.
+///
+/// `(i·2³² | j)·M = (i·2³²)·M + j·M (mod 2⁶⁴)` since `j < 2³²`, so each
+/// row pays one multiply and each element one add.
+pub(crate) fn stream_scalar<T: Element>(
+    out: &mut [MaybeUninit<T>],
+    width: usize,
+    seed: u64,
+    row: usize,
+    col: usize,
+) {
+    for (r, segment) in out.chunks_exact_mut(width).enumerate() {
+        let row_mul = (((row + r) as u64) << 32).wrapping_mul(GOLDEN);
+        let mut col_mul = (col as u64).wrapping_mul(GOLDEN);
+        for o in segment {
+            o.write(T::from_f64(finalize(seed ^ row_mul.wrapping_add(col_mul))));
+            col_mul = col_mul.wrapping_add(GOLDEN);
+        }
+    }
+}
+
+/// splitmix64's finalizer, mapped to `[-1, 1)` to keep products
+/// well-conditioned.
+#[inline(always)]
+fn finalize(mut x: u64) -> f64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58476D1CE4E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D049BB133111EB);
+    x ^= x >> 31;
+    (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// The AVX-512DQ stream routines.
+///
+/// They compute [`finalize`] exactly: `x >> 11 < 2⁵³` converts to `f64`
+/// without rounding, the scale by `2⁻⁵²` is exact, and the `− 1.0` is the
+/// same single rounding; `f32` narrows round-to-nearest like `as f32`.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod x86 {
+    use super::{stream_scalar, GOLDEN};
+    use core::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    /// `u64` lanes per ZMM register.
+    const LANES: usize = 8;
+
+    /// [`super::finalize`] on eight keys.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn finalize8(seed: __m512i, keys: __m512i) -> __m512d {
+        let mut x = _mm512_xor_si512(seed, keys);
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<30>(x));
+        x = _mm512_mullo_epi64(x, _mm512_set1_epi64(0xBF58476D1CE4E5B9u64 as i64));
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<27>(x));
+        x = _mm512_mullo_epi64(x, _mm512_set1_epi64(0x94D049BB133111EBu64 as i64));
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
+        let v = _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(x));
+        let scale = _mm512_set1_pd(1.0 / (1u64 << 52) as f64);
+        _mm512_sub_pd(_mm512_mul_pd(v, scale), _mm512_set1_pd(1.0))
+    }
+
+    /// The stream over a `width`-wide window (see [`stream_scalar`]):
+    /// `store` writes each full 8-lane chunk of a row, the scalar formula
+    /// the `width % 8` tail.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn window<T: crate::Element>(
+        out: &mut [MaybeUninit<T>],
+        width: usize,
+        seed: u64,
+        row: usize,
+        col: usize,
+        store: impl Fn(&mut [MaybeUninit<T>], __m512d),
+    ) {
+        let row_mul = ((row as u64) << 32).wrapping_mul(GOLDEN);
+        let key = |lane: u64| row_mul.wrapping_add((col as u64 + lane).wrapping_mul(GOLDEN)) as i64;
+        let mut row_keys =
+            _mm512_setr_epi64(key(0), key(1), key(2), key(3), key(4), key(5), key(6), key(7));
+        let lane_step = _mm512_set1_epi64(GOLDEN.wrapping_mul(LANES as u64) as i64);
+        let row_step = _mm512_set1_epi64((1u64 << 32).wrapping_mul(GOLDEN) as i64);
+        let seed_v = _mm512_set1_epi64(seed as i64);
+        let full = width / LANES * LANES;
+        for (r, segment) in out.chunks_exact_mut(width).enumerate() {
+            let (body, tail) = segment.split_at_mut(full);
+            let mut keys = row_keys;
+            for chunk in body.chunks_exact_mut(LANES) {
+                store(chunk, finalize8(seed_v, keys));
+                keys = _mm512_add_epi64(keys, lane_step);
+            }
+            if !tail.is_empty() {
+                stream_scalar(tail, tail.len(), seed, row + r, col + full);
+            }
+            row_keys = _mm512_add_epi64(row_keys, row_step);
+        }
+    }
+
+    /// The `f64` stream over a `width`-wide window.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F and AVX-512DQ are available.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) unsafe fn stream_f64(
+        out: &mut [MaybeUninit<f64>],
+        width: usize,
+        seed: u64,
+        row: usize,
+        col: usize,
+    ) {
+        window(out, width, seed, row, col, |chunk, v| {
+            // SAFETY: `chunk` holds eight elements.
+            unsafe { _mm512_storeu_pd(chunk.as_mut_ptr().cast(), v) }
+        });
+    }
+
+    /// The `f32` stream over a `width`-wide window.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F and AVX-512DQ are available.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(crate) unsafe fn stream_f32(
+        out: &mut [MaybeUninit<f32>],
+        width: usize,
+        seed: u64,
+        row: usize,
+        col: usize,
+    ) {
+        window(out, width, seed, row, col, |chunk, v| {
+            // SAFETY: `chunk` holds eight elements.
+            unsafe { _mm256_storeu_ps(chunk.as_mut_ptr().cast(), _mm512_cvtpd_ps(v)) }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +515,80 @@ mod tests {
         for (x64, x32) in a64.data().iter().zip(a32.data()) {
             assert_eq!(*x32, *x64 as f32);
         }
+    }
+
+    /// The per-element formula, written out independently of the
+    /// generator (the same oracle as
+    /// `pseudo_random_matches_per_element_formula`).
+    fn formula(seed: u64, i: usize, j: usize) -> f64 {
+        let mut x = seed ^ ((i as u64) << 32 | j as u64).wrapping_mul(0x9E3779B97F4A7C15);
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58476D1CE4E5B9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94D049BB133111EB);
+        x ^= x >> 31;
+        (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// Blocks `first..first + count` of a `cols`-wide stream, through
+    /// `path`, against the formula (as `f64` and as narrowed `f32`).
+    fn check_run(path: StreamPath, cols: u32, q: usize, first: usize, count: usize, seed: u64) {
+        let mut got64: Vec<f64> = Vec::new();
+        let mut got32: Vec<f32> = Vec::new();
+        extend_pseudo_random(&mut got64, cols, q, first..first + count, seed, path);
+        extend_pseudo_random(&mut got32, cols, q, first..first + count, seed, path);
+        assert_eq!((got64.len(), got32.len()), (count * q * q, count * q * q));
+        let blocks = got64.chunks_exact(q * q).zip(got32.chunks_exact(q * q));
+        for (k, (b64, b32)) in blocks.enumerate() {
+            let (bi, bj) = ((first + k) / cols as usize, (first + k) % cols as usize);
+            for (e, (x64, x32)) in b64.iter().zip(b32).enumerate() {
+                let want = formula(seed, bi * q + e / q, bj * q + e % q);
+                assert_eq!(x64.to_bits(), want.to_bits(), "{path:?} f64 q={q} block {k} elem {e}");
+                assert_eq!(x32.to_bits(), (want as f32).to_bits(), "{path:?} f32 q={q} elem {e}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Every stream path writes the per-element formula bit for bit,
+        /// for every lane-tail length (`q` in `1..=70`), seed and block
+        /// offset. The scalar path runs on every host; the vector path
+        /// wherever the CPU has it.
+        #[test]
+        fn stream_paths_match_the_per_element_formula(
+            seed in proptest::prelude::any::<u64>(),
+            cols in 1u32..10,
+            first in 0usize..100_000,
+            count in 1usize..4,
+        ) {
+            for path in StreamPath::ALL.into_iter().filter(|p| p.is_available()) {
+                for q in 1..=70 {
+                    check_run(path, cols, q, first, count, seed);
+                }
+            }
+        }
+    }
+
+    /// A one-thread pool and the default pool split the generation
+    /// differently (inline vs several tasks) and give `==` matrices.
+    #[test]
+    fn generation_is_independent_of_the_thread_count() {
+        fn both<T: Element>() {
+            // 70 blocks of 40² elements: runs of 21 blocks with a ragged
+            // last run, so several tasks on any pool with helpers.
+            let many = BlockMatrixOf::<T>::pseudo_random(10, 7, 40, 0xFEED);
+            let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+            let single = one.install(|| BlockMatrixOf::<T>::pseudo_random(10, 7, 40, 0xFEED));
+            assert_eq!(many, single);
+            let want = BlockMatrix::from_fn(10, 7, 40, |i, j| formula(0xFEED, i, j));
+            for (x, w) in many.data().iter().zip(want.data()) {
+                assert_eq!(*x, T::from_f64(*w));
+            }
+        }
+        both::<f64>();
+        both::<f32>();
     }
 
     #[test]

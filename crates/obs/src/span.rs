@@ -46,6 +46,7 @@
 //! recorder's own overhead, published as the `gemm_q64_nospans` record.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -319,7 +320,15 @@ impl ThreadRing {
     /// load, never decoded; a matching slot gets the full seqlock read,
     /// so the tearing guarantees of [`ThreadRing::scan`] hold.
     pub fn scan_job(&self, job: u64, out: &mut Vec<SpanRecord>) {
-        for i in self.live() {
+        self.scan_job_since(job, 0, out);
+    }
+
+    /// [`ThreadRing::scan_job`] over the live spans with index `from` or
+    /// later only (`from` = the ring's [`ThreadRing::head`] when the job
+    /// began, so older slots cannot hold its spans).
+    pub fn scan_job_since(&self, job: u64, from: u64, out: &mut Vec<SpanRecord>) {
+        let live = self.live();
+        for i in live.start.max(from)..live.end {
             let slot = &self.slots[(i % self.slots.len() as u64) as usize];
             if slot.words[0].load(Ordering::Relaxed) != job {
                 continue;
@@ -447,11 +456,34 @@ pub fn set_enabled(on: bool) {
 
 static NEXT_JOB: AtomicU64 = AtomicU64::new(1);
 
+/// Jobs whose start heads [`new_job`] keeps; collecting an older job
+/// scans every live slot, as for a job id [`new_job`] never handed out.
+const JOB_STARTS: usize = 256;
+
+/// The head of every registered ring (in registration order) when each
+/// of the last [`JOB_STARTS`] jobs began.
+fn job_starts() -> std::sync::MutexGuard<'static, VecDeque<(u64, Box<[u64]>)>> {
+    static STARTS: Mutex<VecDeque<(u64, Box<[u64]>)>> = Mutex::new(VecDeque::new());
+    // Every update is a single push or pop, so a poisoned queue is
+    // still valid.
+    STARTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Allocate a process-unique job id and make it the calling thread's
 /// current trace context. Runners capture the current job once at entry
 /// and carry it into their worker closures.
+///
+/// Every ring's head is recorded before the id is handed out, so no
+/// span of the job can sit below it; [`collect_job`] starts there.
 pub fn new_job() -> u64 {
     let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
+    let heads: Box<[u64]> = lock_rings().all.iter().map(|r| r.head()).collect();
+    let mut starts = job_starts();
+    if starts.len() == JOB_STARTS {
+        starts.pop_front();
+    }
+    starts.push_back((job, heads));
+    drop(starts);
     CURRENT_JOB.with(|c| c.set(job));
     job
 }
@@ -502,10 +534,17 @@ fn sort_spans(spans: &mut [SpanRecord]) {
 /// Snapshot every live span stamped with `job`, across all rings,
 /// sorted by start time. Non-consuming — job uniqueness makes repeated
 /// collection idempotent, and rings recycle by overwriting.
+///
+/// Each ring is scanned from its head at [`new_job`] time, so the cost
+/// follows the spans written since the job began rather than the ring
+/// capacity. A ring registered after that starts at 0, and a job older
+/// than the last 256 scans every live slot.
 pub fn collect_job(job: u64) -> Vec<SpanRecord> {
+    let heads = job_starts().iter().find(|(j, _)| *j == job).map(|(_, h)| h.clone());
     let mut out = Vec::new();
-    for ring in registered_rings() {
-        ring.scan_job(job, &mut out);
+    for (r, ring) in registered_rings().iter().enumerate() {
+        let from = heads.as_ref().and_then(|h| h.get(r)).copied().unwrap_or(0);
+        ring.scan_job_since(job, from, &mut out);
     }
     sort_spans(&mut out);
     out
@@ -689,6 +728,44 @@ mod tests {
         let mut seen: Vec<u32> = collect_job(job).iter().map(|r| r.args[0]).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..200).collect::<Vec<u32>>());
+    }
+
+    /// A job's spans are all found, and no other job's come back, when
+    /// the rings it lands on already hold older spans and another thread
+    /// writes more than half a ring of unrelated spans meanwhile.
+    #[test]
+    fn collect_job_scans_from_the_job_start_and_finds_every_span() {
+        let _g = global_lock();
+        let before = new_job();
+        for i in 0..600u32 {
+            emit(before, SpanKind::Tile, None, now_ns(), 1, 1, 1, [i; 4]);
+        }
+        let job = new_job();
+        let other = new_job();
+        for i in 0..5u32 {
+            emit(job, SpanKind::Tile, None, now_ns(), 1, 1, 1, [i; 4]);
+        }
+        let noise = ring_capacity() / 2 + 1;
+        std::thread::spawn(move || {
+            for i in 0..noise as u32 {
+                emit(other, SpanKind::Read, Some(1), now_ns(), 1, 1, 1, [i; 4]);
+            }
+            for i in 5..8u32 {
+                emit(job, SpanKind::Tile, Some(1), now_ns(), 1, 1, 1, [i; 4]);
+            }
+        })
+        .join()
+        .unwrap();
+        for i in 8..10u32 {
+            emit(job, SpanKind::Tile, None, now_ns(), 1, 1, 1, [i; 4]);
+        }
+        let got = collect_job(job);
+        assert!(got.iter().all(|r| r.job == job && r.kind == SpanKind::Tile));
+        let mut seen: Vec<u32> = got.iter().map(|r| r.args[0]).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..10).collect::<Vec<u32>>());
+        assert_eq!(collect_job(other).len(), noise);
+        assert_eq!(collect_job(before).len(), 600);
     }
 
     #[test]

@@ -25,7 +25,8 @@ use serde::{Deserialize, Serialize};
 use mmc_core::params::ooc_staging;
 use mmc_core::{formulas, OocStaging, ProblemSpec};
 use mmc_exec::{
-    gemm_into, gemm_parallel_with_kernel, BlockMatrix, CancelToken, GemmOpts, KernelVariant, Tiling,
+    extend_pseudo_random, gemm_into, gemm_parallel_with_kernel, BlockMatrix, CancelToken, GemmOpts,
+    KernelVariant, StreamPath, Tiling,
 };
 use mmc_obs::span::{self, SpanKind};
 use mmc_obs::{DriftReport, PhaseSample};
@@ -590,7 +591,8 @@ pub fn ooc_drift(report: &OocReport, band: f64) -> DriftReport {
 /// Stream a deterministic pseudo-random matrix straight to a tiled file,
 /// one block row at a time (never materializing the matrix), bit-exact
 /// with [`BlockMatrix::pseudo_random`] for the same `(rows, cols, q,
-/// seed)`.
+/// seed)`: each block-row slab is generated on the rayon pool by the same
+/// generator ([`extend_pseudo_random`]).
 pub fn write_pseudo_random(
     path: &Path,
     rows: u32,
@@ -598,29 +600,13 @@ pub fn write_pseudo_random(
     q: usize,
     seed: u64,
 ) -> Result<(), TiledError> {
-    const M: u64 = 0x9E3779B97F4A7C15;
     let mut w = crate::tiled::TiledWriter::create(path, rows, cols, q)?;
-    let mut slab = vec![0.0f64; cols as usize * q * q];
-    for bi in 0..rows {
-        for bj in 0..cols {
-            let blk = &mut slab[bj as usize * q * q..][..q * q];
-            let base_i = bi as usize * q;
-            let base_j = bj as usize * q;
-            for ii in 0..q {
-                let row_mul = (((base_i + ii) as u64) << 32).wrapping_mul(M);
-                let mut col_mul = (base_j as u64).wrapping_mul(M);
-                for jj in 0..q {
-                    let mut x = seed ^ row_mul.wrapping_add(col_mul);
-                    x ^= x >> 30;
-                    x = x.wrapping_mul(0xBF58476D1CE4E5B9);
-                    x ^= x >> 27;
-                    x = x.wrapping_mul(0x94D049BB133111EB);
-                    x ^= x >> 31;
-                    blk[ii * q + jj] = (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-                    col_mul = col_mul.wrapping_add(M);
-                }
-            }
-        }
+    let cols_n = cols as usize;
+    let mut slab = Vec::with_capacity(cols_n * q * q);
+    let stream = StreamPath::detected();
+    for bi in 0..rows as usize {
+        slab.clear();
+        extend_pseudo_random(&mut slab, cols, q, bi * cols_n..(bi + 1) * cols_n, seed, stream);
         w.append_blocks(&slab)?;
     }
     w.finish()
@@ -702,13 +688,18 @@ mod tests {
         dir
     }
 
+    /// Ragged `q = 7` slabs (a lane tail on every row), and 40-block
+    /// slabs of `q = 32` that the generator splits into several runs
+    /// starting mid-matrix, read back `==` the in-core matrix.
     #[test]
     fn streamed_generation_matches_in_core_pseudo_random() {
         let dir = tmp("gen");
         let path = dir.join("a.tiled");
-        write_pseudo_random(&path, 5, 3, 7, 0xC0FFEE).unwrap();
-        let got = TiledFile::open(&path).unwrap().read_matrix().unwrap();
-        assert_eq!(got, BlockMatrix::pseudo_random(5, 3, 7, 0xC0FFEE));
+        for (rows, cols, q) in [(5, 3, 7), (3, 5, 7), (3, 40, 32)] {
+            write_pseudo_random(&path, rows, cols, q, 0xC0FFEE).unwrap();
+            let got = TiledFile::open(&path).unwrap().read_matrix().unwrap();
+            assert_eq!(got, BlockMatrix::pseudo_random(rows, cols, q, 0xC0FFEE));
+        }
     }
 
     #[test]
