@@ -48,7 +48,9 @@ const REGRESSION_TOLERANCE: f64 = 0.2;
 
 /// One roofline point for a kernel-variant run: bytes moved from LLC
 /// misses when the PMU is live, else the model's compulsory traffic
-/// (2 operand reads + 1 result write of `N²` elements of `elem_bytes`).
+/// (2 operand reads + 1 result write of `N²` elements of `elem_bytes`);
+/// the flat roof is `roof_gflops` (one core's measured kernel roof,
+/// [`kernel::roof_gflops`]) on every thread of the pool.
 #[allow(clippy::too_many_arguments)]
 fn roofline_point(
     name: &str,
@@ -60,6 +62,7 @@ fn roofline_point(
     kflops: f64,
     seconds: f64,
     bandwidth_gbs: f64,
+    roof_gflops: f64,
     run: impl FnOnce(),
 ) -> RooflineRecord {
     let counters = PerfCounters::open();
@@ -70,12 +73,7 @@ fn roofline_point(
         Some(misses) if counters.hardware_available() => (misses * 64, "llc_misses"),
         _ => (3 * n * n * elem_bytes, "model"),
     };
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let peak = mmc_obs::peak_gflops_estimate(
-        threads,
-        mmc_obs::host_roofs().ghz,
-        mmc_obs::flops_per_cycle_for_kernel(kernel_name),
-    );
+    let peak = roof_gflops * rayon::current_num_threads() as f64;
     RooflineRecord::from_measurements(
         name,
         kernel_name,
@@ -188,6 +186,7 @@ fn main() {
                 kflops,
                 secs,
                 bandwidth_gbs,
+                kernel::roof_gflops::<f64>(v),
                 || {
                     std::hint::black_box(gemm_parallel_with_kernel(&ka, &kb, tiling, v));
                 },
@@ -195,7 +194,7 @@ fn main() {
         }
         // The same product in f32: twice the SIMD lanes, half the
         // traffic. Records are named `gemm_q64_f32/<variant>` with kernel
-        // `<variant>_f32` so the roofline uses the doubled flat roof.
+        // `<variant>_f32`, under the variant's measured f32 roof.
         let ka32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 3);
         let kb32 = BlockMatrixOf::<f32>::pseudo_random(korder, korder, kq, 4);
         for v in kernel::variants_available() {
@@ -223,6 +222,7 @@ fn main() {
                 kflops,
                 secs,
                 bandwidth_gbs,
+                kernel::roof_gflops::<f32>(v),
                 || {
                     std::hint::black_box(gemm_parallel_with_kernel(&ka32, &kb32, tiling, v));
                 },

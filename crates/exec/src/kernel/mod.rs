@@ -19,7 +19,9 @@
 //!
 //! The register tile is a property of the (variant, element type) pair,
 //! [`KernelVariant::tile`]: the packing layouts read it from the variant
-//! they pack for.
+//! they pack for. So is the compute roof, [`roof_gflops`]: the pair's own
+//! block kernel timed on hot-cache blocks, the rate every compute
+//! prediction and roofline record is priced at.
 //!
 //! # Dispatch
 //!
@@ -46,7 +48,8 @@
 //! variant rounds differently (unfused), so comparisons between scalar
 //! and a SIMD variant use a tolerance.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 pub mod elem;
 pub mod pack;
@@ -311,6 +314,62 @@ pub fn block_fma_reference<T: Element>(c: &mut [T], a: &[T], b: &[T], q: usize) 
     }
 }
 
+/// Block side [`roof_gflops`] times its kernel at: three `f64` blocks
+/// are 24 KiB, inside any L1d, so the kernel never waits on memory.
+const ROOF_Q: usize = 32;
+
+/// The measured single-core compute roof of `variant` on element type
+/// `T`, GFLOP/s: the best of timed batches of 64 calls to its own
+/// [`block_fma_with`] on hot-cache `32×32` blocks, at least five batches
+/// and at least 2 ms of them. A variant the CPU lacks is measured as the
+/// kernel that runs in its place ([`KernelVariant::runnable`]).
+///
+/// Sampling for 2 ms rather than five batches matters on a shared VM:
+/// a SIMD batch takes under 0.1 ms, and the best of only five
+/// read 5–30% below the best of forty, low enough for a real product
+/// to run above its "roof".
+///
+/// Measured on first use and cached for the rest of the process per
+/// (variant, element type), each measurement counted under
+/// [`mmc_obs::roofline::KERNEL_ROOF_MEASUREMENTS_COUNTER`]. It costs
+/// about 2 ms for the SIMD variants and a few for the scalar loop. This
+/// is the only compute roof: drift predictions and roofline records
+/// divide by it.
+pub fn roof_gflops<T: Element>(variant: KernelVariant) -> f64 {
+    static ROOFS: Mutex<Vec<(KernelVariant, &'static str, f64)>> = Mutex::new(Vec::new());
+    let v = variant.runnable();
+    // Held across the measurement: two threads asking for the same roof
+    // measure it once, and no two measurements share the cores.
+    let mut roofs = ROOFS.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&(_, _, gflops)) = roofs.iter().find(|r| r.0 == v && r.1 == T::NAME) {
+        return gflops;
+    }
+    const CALLS: usize = 64;
+    let q = ROOF_Q;
+    let fill = |seed: usize| -> Vec<T> {
+        (0..q * q).map(|i| T::from_f64(((i * seed) % 11) as f64 / 11.0 - 0.5)).collect()
+    };
+    let (a, b, mut c) = (fill(7), fill(3), vec![T::ZERO; q * q]);
+    block_fma_with(v, &mut c, &a, &b, q);
+    let started = Instant::now();
+    let mut best = f64::INFINITY;
+    for batch in 0.. {
+        if batch >= 5 && started.elapsed().as_secs_f64() >= 2e-3 {
+            break;
+        }
+        let t0 = Instant::now();
+        for _ in 0..CALLS {
+            block_fma_with(v, &mut c, &a, &b, q);
+        }
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    std::hint::black_box(&c);
+    let gflops = (2 * q.pow(3) * CALLS) as f64 / best.max(1e-9) / 1e9;
+    mmc_obs::global().counter(mmc_obs::roofline::KERNEL_ROOF_MEASUREMENTS_COUNTER).add(1);
+    roofs.push((v, T::NAME, gflops));
+    gflops
+}
+
 /// Fused-FMA remainder kernel on unpacked row-major `q×q` operands:
 /// updates the `mi×nj` sub-tile of `C` at `(i0, j0)`, ascending `k` per
 /// element, one fused `mul_add` per step — bit-identical to the SIMD
@@ -423,6 +482,33 @@ mod tests {
         for (x, y) in cd.iter().zip(&cs) {
             assert!((x - y).abs() < 1e-10, "dispatched {} vs scalar: {x} vs {y}", variant());
         }
+    }
+
+    #[test]
+    fn roofs_are_measured_once_per_variant_and_element_type() {
+        let roofs = || {
+            variants_available()
+                .into_iter()
+                .map(|v| (roof_gflops::<f64>(v), roof_gflops::<f32>(v)))
+                .collect::<Vec<_>>()
+        };
+        let first = roofs();
+        for (v, &(r64, r32)) in variants_available().iter().zip(&first) {
+            assert!(r64.is_finite() && r64 > 0.0, "{v} f64 roof {r64}");
+            assert!(r32.is_finite() && r32 > 0.0, "{v} f32 roof {r32}");
+        }
+        // Cached: the same numbers, and no pair measured twice. Other
+        // tests can only ask for these same pairs (an unavailable
+        // variant is measured as the one that runs), so the counter
+        // holds exactly one measurement per pair.
+        assert_eq!(roofs(), first);
+        for v in KernelVariant::ALL {
+            assert_eq!(roof_gflops::<f64>(v), roof_gflops::<f64>(v.runnable()));
+        }
+        let measured = mmc_obs::global()
+            .snapshot()
+            .counter(mmc_obs::roofline::KERNEL_ROOF_MEASUREMENTS_COUNTER);
+        assert_eq!(measured, Some(2 * variants_available().len() as u64));
     }
 
     #[test]

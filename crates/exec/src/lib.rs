@@ -50,4 +50,4 @@ pub use runner::{
     gemm_into, gemm_parallel, gemm_parallel_with_kernel, gemm_parallel_with_plan, run_schedule,
     unit_mu, ExecSink, GemmOpts, Tiling,
 };
-pub use tracing::{exec_drift, run_traced, spans_to_chrome, ExecModel, TracedRun};
+pub use tracing::{compute_us, exec_drift, run_traced, spans_to_chrome, ExecModel, TracedRun};

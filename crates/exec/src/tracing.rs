@@ -9,19 +9,23 @@
 //!
 //! * [`spans_to_chrome`] — a Perfetto/Chrome trace with one lane per
 //!   `(loop level, thread)` pair, using the **process-wide** trace
-//!   epoch so exec and ooc traces merge coherently into one timeline;
+//!   epoch so exec and ooc traces merge coherently into one timeline
+//!   (the one trace exporter: `mmc exec`, `mmc drift` and
+//!   `mmc ooc multiply` all write through it);
 //! * [`exec_drift`] — a [`DriftReport`] holding the summed `tile` span
-//!   time against the product's FLOPs at the kernel's roofline peak.
+//!   time against the product's FLOPs at the kernel's measured roof.
 //!
-//! [`ExecModel::for_run`] prices every run at the host's rates from
-//! [`mmc_obs::host_roofs`], which measures STREAM bandwidth and the clock
-//! once per process. Building a model is therefore cheap after the first
-//! one, and a server that builds one per job (`mmc serve`) pays for the
-//! measurement only at start-up. Every run in a process is priced at the
-//! same roofs, so drift ratios of different runs compare directly.
+//! [`ExecModel::for_run`] prices every run at the dispatched kernel's
+//! measured roof ([`kernel::roof_gflops`]), which each process measures
+//! once per (variant, element type). Building a model is therefore cheap
+//! after the first one, and a server that builds one per job
+//! (`mmc serve`) pays for the measurement only at start-up. Every run in
+//! a process is priced at the same roof, so drift ratios of different
+//! runs compare directly. [`compute_us`] is the one compute price: the
+//! out-of-core `accumulate` phase is priced through it too.
 
 use crate::kernel::elem::Element;
-use crate::kernel::KernelVariant;
+use crate::kernel::{self, KernelVariant};
 use crate::matrix::BlockMatrixOf;
 use crate::runner::{gemm_parallel_with_kernel, Tiling};
 use mmc_obs::span::{self, SpanKind, SpanRecord};
@@ -126,37 +130,27 @@ pub struct ExecModel {
     pub z: u32,
     /// Block side in elements.
     pub q: usize,
-    /// Single-thread peak for the dispatched kernel, GFLOP/s — measured
-    /// span time is *summed across threads* (CPU-seconds), so the
-    /// prediction must be priced at one thread's roof, not the chip's.
-    pub peak_gflops: f64,
+    /// One core's measured roof for the dispatched kernel and element
+    /// type, GFLOP/s ([`kernel::roof_gflops`]) — measured span time is
+    /// *summed across threads* (CPU-seconds), so the prediction is
+    /// priced at one core's roof, not the chip's.
+    pub roof_gflops: f64,
 }
 
 impl ExecModel {
     /// Build the model for a run: problem shape from the operand grid,
-    /// roofs from the process's one host measurement
-    /// ([`mmc_obs::host_roofs`]).
+    /// roof from the process's one measurement of `variant` on `T`.
     pub fn for_run<T: Element>(
         a: &BlockMatrixOf<T>,
         b: &BlockMatrixOf<T>,
         variant: KernelVariant,
     ) -> ExecModel {
-        let kernel_name = if std::mem::size_of::<T>() == 4 {
-            format!("{}_f32", variant.name())
-        } else {
-            variant.name().to_string()
-        };
-        let roofs = mmc_obs::host_roofs();
         ExecModel {
             m: a.rows(),
             n: b.cols(),
             z: a.cols(),
             q: a.q(),
-            peak_gflops: mmc_obs::peak_gflops_estimate(
-                1,
-                roofs.ghz,
-                mmc_obs::flops_per_cycle_for_kernel(&kernel_name),
-            ),
+            roof_gflops: kernel::roof_gflops::<T>(variant),
         }
     }
 
@@ -167,9 +161,12 @@ impl ExecModel {
     }
 }
 
-/// Microseconds to retire `flops` at `gflops` GFLOP/s.
-fn flop_us(flops: u64, gflops: f64) -> f64 {
-    flops as f64 / (gflops.max(1e-9) * 1e3)
+/// Microseconds `cores` cores take to retire `flops` at `roof_gflops`
+/// GFLOP/s each: the compute price of the exec `tile` phase (one core,
+/// against CPU time) and the ooc `accumulate` phase (the pool, against
+/// wall time).
+pub fn compute_us(flops: f64, roof_gflops: f64, cores: usize) -> f64 {
+    flops / ((roof_gflops * cores.max(1) as f64).max(1e-9) * 1e3)
 }
 
 /// Build the drift report for one traced run: the `tile` phase, measured
@@ -185,7 +182,7 @@ pub fn exec_drift(run: &TracedRun, model: &ExecModel, band: f64) -> DriftReport 
         phase: SpanKind::Tile.name().to_string(),
         spans,
         measured_us,
-        predicted_us: flop_us(predicted, model.peak_gflops),
+        predicted_us: compute_us(predicted as f64, model.roof_gflops, 1),
         unit: "flop".to_string(),
         measured_units: measured as f64,
         predicted_units: predicted as f64,
@@ -196,7 +193,6 @@ pub fn exec_drift(run: &TracedRun, model: &ExecModel, band: f64) -> DriftReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel;
     use crate::matrix::BlockMatrix;
     use crate::naive::gemm_naive;
 
@@ -274,6 +270,11 @@ mod tests {
                 p.units_ratio
             );
         }
+        // Priced at one core's measured roof for this variant and type.
+        let tile = &report.phases[0];
+        let want = model.total_flops() as f64 / (kernel::roof_gflops::<f64>(run.variant) * 1e3);
+        assert_eq!(model.roof_gflops, kernel::roof_gflops::<f64>(run.variant));
+        assert!((tile.predicted_us - want).abs() <= 1e-9 * want, "{} vs {want}", tile.predicted_us);
         // Astronomical band: nothing flagged.
         assert!(report.flagged.is_empty(), "{:?}", report.flagged);
     }

@@ -13,8 +13,8 @@
 //!   around any GEMM run and degrades gracefully to a
 //!   `counters: "unavailable"` marker when the PMU or permissions are
 //!   missing.
-//! * [`roofline`] — the host's measured rates ([`host_roofs`]: STREAM-triad
-//!   bandwidth and clock, measured once per process) plus derived
+//! * [`roofline`] — the host's measured memory rate ([`host_roofs`]:
+//!   STREAM-triad bandwidth, measured once per process) plus derived
 //!   arithmetic-intensity / percent-of-peak records for
 //!   `BENCH_exec.json`.
 //! * [`span`] — per-job span tracing: lock-free per-thread ring-buffer
@@ -43,10 +43,7 @@ pub use registry::{
     global, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket,
     HistogramSnapshot, Registry, RegistrySnapshot,
 };
-pub use roofline::{
-    flops_per_cycle_for_kernel, host_roofs, peak_gflops_estimate, roofline_bound, HostRoofs,
-    RooflineRecord,
-};
+pub use roofline::{host_roofs, roofline_bound, HostRoofs, RooflineRecord};
 pub use span::{SpanKind, SpanRecord, ThreadRing};
 
 /// Version stamped into every `--json` report across `simulate` / `exec`

@@ -3,14 +3,16 @@
 //! machine's position under the roofline every PR.
 //!
 //! The roofline model bounds attainable performance by
-//! `min(peak_gflops, arithmetic_intensity × bandwidth)`. Peak FLOP/s is
-//! estimated from measured clock rate and the kernel's issue width;
-//! bandwidth is measured directly with a STREAM-triad style sweep over
-//! an array far larger than any cache on the paper's machines.
+//! `min(peak_gflops, arithmetic_intensity × bandwidth)`. The flat roof is
+//! the kernel's own measured rate (`mmc_exec::kernel::roof_gflops`: its
+//! block kernel timed on hot-cache blocks, per variant and element
+//! type) times the threads that ran; bandwidth is measured directly with
+//! a STREAM-triad style sweep over an array far larger than any cache on
+//! the paper's machines.
 //!
-//! Both rates belong to the machine, not to a run, so [`host_roofs`]
-//! measures them once per process and every consumer (drift models,
-//! roofline records, the serve daemon) reads that one measurement.
+//! Both rates belong to the machine, not to a run, so each is measured
+//! once per process: [`host_roofs`] here, the kernel roofs in `mmc-exec`
+//! (counted under [`KERNEL_ROOF_MEASUREMENTS_COUNTER`]).
 
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -45,7 +47,8 @@ pub struct RooflineRecord {
     pub arithmetic_intensity: f64,
     /// Measured STREAM-triad memory bandwidth, GB/s.
     pub bandwidth_gbs: f64,
-    /// Estimated peak GFLOP/s used as the flat roof.
+    /// The flat roof, GFLOP/s: the kernel's measured single-core roof
+    /// times the threads that ran.
     pub peak_gflops: f64,
     /// Achieved fraction of the roofline bound, in percent:
     /// `100 × gflops / min(peak_gflops, intensity × bandwidth)`.
@@ -97,18 +100,21 @@ pub fn roofline_bound(intensity: f64, bandwidth_gbs: f64, peak_gflops: f64) -> f
     (intensity * bandwidth_gbs).min(peak_gflops)
 }
 
-/// The host's measured rates: the roofs every prediction is priced at.
+/// The host's measured memory rate, the roof of memory-bound work.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostRoofs {
     /// Sustained memory bandwidth, GB/s, from a STREAM-triad sweep.
     pub stream_gbs: f64,
-    /// CPU clock, GHz, from `/proc/cpuinfo` (3.0 when it is missing).
-    pub ghz: f64,
 }
 
 /// Registry counter bumped each time [`host_roofs`] measures the host;
 /// it reads at most 1 in any process.
 pub const HOST_MEASUREMENTS_COUNTER: &str = "obs.host_roofs.measurements";
+
+/// Registry counter bumped each time `mmc_exec::kernel::roof_gflops`
+/// measures a kernel roof; it reads at most one per (variant, element
+/// type) pair in any process.
+pub const KERNEL_ROOF_MEASUREMENTS_COUNTER: &str = "obs.kernel_roof.measurements";
 
 /// The host's rates, measured on the first call and cached for the rest
 /// of the process: the STREAM sweep streams 12 MiB six times, which takes
@@ -119,7 +125,7 @@ pub fn host_roofs() -> HostRoofs {
     static ROOFS: OnceLock<HostRoofs> = OnceLock::new();
     *ROOFS.get_or_init(|| {
         crate::registry::global().counter(HOST_MEASUREMENTS_COUNTER).add(1);
-        HostRoofs { stream_gbs: stream_triad_bandwidth_gbs(), ghz: cpu_ghz_estimate() }
+        HostRoofs { stream_gbs: stream_triad_bandwidth_gbs() }
     })
 }
 
@@ -151,48 +157,6 @@ fn stream_triad_bandwidth_gbs() -> f64 {
 fn triad(a: &mut [f64], b: &[f64], c: &[f64], s: f64) {
     for i in 0..a.len() {
         a[i] = b[i] + s * c[i];
-    }
-}
-
-/// Estimate the flat roof in GFLOP/s for `threads` cores at `ghz` clock
-/// with `flops_per_cycle` per core (16 for AVX2+FMA f64, 2 for the
-/// scalar kernel's mul+add).
-pub fn peak_gflops_estimate(threads: usize, ghz: f64, flops_per_cycle: f64) -> f64 {
-    threads as f64 * ghz * flops_per_cycle
-}
-
-/// The CPU clock in GHz, from `/proc/cpuinfo`'s first `cpu MHz` line.
-/// Containers and non-x86 kernels often omit the field; the 3.0 GHz
-/// fallback is a nominal desktop clock, close to the 2.66/2.93 GHz
-/// parts in the paper's evaluation, and only sizes the flat roof — the
-/// record carries the measured GFLOP/s either way.
-fn cpu_ghz_estimate() -> f64 {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines().find_map(|l| {
-                let rest = l.strip_prefix("cpu MHz")?;
-                rest.split(':').nth(1)?.trim().parse::<f64>().ok()
-            })
-        })
-        .map(|mhz| mhz / 1000.0)
-        .unwrap_or(3.0)
-}
-
-/// FLOPs per cycle per core for a kernel variant name, used when sizing
-/// the flat roof: 16 for 4-wide FMA f64 on two FMA units (`avx2_fma`),
-/// 32 for 8-wide FMA f64 on two units (`avx512_fma`), 4 for 2-wide NEON
-/// FMA, 2 for scalar mul+add; f32 variants (`*_f32`) double the lane
-/// count and therefore the roof.
-pub fn flops_per_cycle_for_kernel(kernel: &str) -> f64 {
-    match kernel {
-        "avx2_fma" => 16.0,
-        "avx2_fma_f32" => 32.0,
-        "avx512_fma" => 32.0,
-        "avx512_fma_f32" => 64.0,
-        "neon" => 4.0,
-        "neon_f32" => 8.0,
-        _ => 2.0,
     }
 }
 
@@ -259,22 +223,6 @@ mod tests {
         assert_eq!(host_roofs(), first);
         let measured = crate::registry::global().snapshot().counter(HOST_MEASUREMENTS_COUNTER);
         assert_eq!(measured, Some(1));
-    }
-
-    #[test]
-    fn clock_estimate_is_plausible() {
-        let ghz = cpu_ghz_estimate();
-        assert!((0.1..=10.0).contains(&ghz), "implausible clock {ghz} GHz");
-    }
-
-    #[test]
-    fn f32_variants_double_the_roof() {
-        assert_eq!(flops_per_cycle_for_kernel("avx2_fma_f32"), 32.0);
-        assert_eq!(flops_per_cycle_for_kernel("avx512_fma"), 32.0);
-        assert_eq!(flops_per_cycle_for_kernel("avx512_fma_f32"), 64.0);
-        assert_eq!(flops_per_cycle_for_kernel("neon_f32"), 8.0);
-        assert_eq!(flops_per_cycle_for_kernel("scalar"), 2.0);
-        assert_eq!(flops_per_cycle_for_kernel("scalar_f32"), 2.0);
     }
 
     #[test]

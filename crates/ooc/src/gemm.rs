@@ -25,12 +25,12 @@ use serde::{Deserialize, Serialize};
 use mmc_core::params::ooc_staging;
 use mmc_core::{formulas, OocStaging, ProblemSpec};
 use mmc_exec::{
-    extend_pseudo_random, gemm_into, gemm_parallel_with_kernel, BlockMatrix, CancelToken, GemmOpts,
-    KernelVariant, StreamPath, Tiling,
+    compute_us, extend_pseudo_random, gemm_into, gemm_parallel_with_kernel, kernel, BlockMatrix,
+    CancelToken, GemmOpts, KernelVariant, StreamPath, Tiling,
 };
 use mmc_obs::span::{self, SpanKind};
 use mmc_obs::{DriftReport, PhaseSample};
-use mmc_sim::{ChromeTraceBuilder, MachineConfig, TData3};
+use mmc_sim::{MachineConfig, TData3};
 
 use crate::pipeline::{PrefetchStats, Prefetcher, StageRequest};
 use crate::tiled::{TiledError, TiledFile, TiledOutput};
@@ -38,6 +38,13 @@ use crate::tiled::{TiledError, TiledFile, TiledOutput};
 /// Ring depth per operand stream: 2 = double buffering (one panel in
 /// compute, one in flight).
 pub const RING_SLOTS: u32 = 2;
+
+/// The disk/RAM bandwidth ratio `σ_F/σ_S` the out-of-core model assumes
+/// until disk bandwidth is measured. It sizes the staging `α` before a
+/// run ([`staging_for_budget`]; a slower disk buys more reuse), and at
+/// `σ_S × ratio` it prices the disk term of a served job's price and of
+/// a run that timed no I/O.
+pub const DISK_RAM_RATIO: f64 = 0.1;
 
 /// Options for an out-of-core multiply.
 #[derive(Clone, Debug)]
@@ -51,22 +58,16 @@ pub struct OocOpts {
     /// Machine model used for the two in-core terms of the `T_data`
     /// report and the compute tiling heuristic.
     pub machine: MachineConfig,
-    /// Assumed disk/RAM bandwidth ratio `σ_F/σ_S` used only to *size*
-    /// `α` before the run (the report uses the measured `σ_F`). Smaller
-    /// means slower disk, which pushes `α` up to buy more reuse.
-    pub sigma_ratio_hint: f64,
 }
 
 impl OocOpts {
-    /// Defaults: dispatched kernel, two I/O threads, `quad_q32` model,
-    /// disk assumed 10× slower than RAM.
+    /// Defaults: dispatched kernel, two I/O threads, `quad_q32` model.
     pub fn new(mem_budget_bytes: u64) -> OocOpts {
         OocOpts {
             mem_budget_bytes,
             io_threads: 2,
-            variant: mmc_exec::kernel::variant(),
+            variant: kernel::variant(),
             machine: MachineConfig::quad_q32(),
-            sigma_ratio_hint: 0.1,
         }
     }
 }
@@ -169,7 +170,7 @@ pub struct OocReport {
     /// `None` when the run performed no timed I/O (everything served
     /// from cache in under the clock's resolution), in which case
     /// [`OocReport::t_data3`] prices the disk term at the machine
-    /// model's assumed bandwidth ([`default_sigma_f`]) instead.
+    /// model's assumed bandwidth (`σ_S ×` [`DISK_RAM_RATIO`]) instead.
     pub sigma_f_blocks_per_s: Option<f64>,
     /// The three-term data access time: measured disk term (or the
     /// model default when unmeasured) next to the model's two in-core
@@ -179,7 +180,7 @@ pub struct OocReport {
     pub elapsed_seconds: f64,
     /// Summed seconds inside the in-core accumulation calls.
     pub compute_seconds: f64,
-    /// Pipeline statistics (bytes read, stalls, I/O spans).
+    /// Pipeline statistics (bytes read, stalls, I/O time).
     pub prefetch: PrefetchStats,
     /// Compute lane spans for the trace.
     pub compute_spans: Vec<ComputeSpan>,
@@ -220,15 +221,7 @@ fn staging_requests(m: u32, n: u32, z: u32, staging: OocStaging) -> Vec<StageReq
             for k0 in (0..z).step_by(beta as usize) {
                 let kd = beta.min(z - k0);
                 let seq = reqs.len();
-                reqs.push(StageRequest {
-                    seq,
-                    file: 0,
-                    bi0: i0,
-                    bj0: k0,
-                    rows: th,
-                    cols: kd,
-                    label: format!("A[i={i0},k={k0}]"),
-                });
+                reqs.push(StageRequest { seq, file: 0, bi0: i0, bj0: k0, rows: th, cols: kd });
                 reqs.push(StageRequest {
                     seq: seq + 1,
                     file: 1,
@@ -236,7 +229,6 @@ fn staging_requests(m: u32, n: u32, z: u32, staging: OocStaging) -> Vec<StageReq
                     bj0: j0,
                     rows: kd,
                     cols: tw,
-                    label: format!("B[k={k0},j={j0}]"),
                 });
             }
         }
@@ -251,13 +243,12 @@ pub fn measured_sigma_f(read_blocks: u64, io_seconds: f64) -> Option<f64> {
     (io_seconds > 0.0 && read_blocks > 0).then(|| read_blocks as f64 / io_seconds)
 }
 
-/// The machine model's assumed disk bandwidth in blocks/s: `σ_S`
-/// scaled by the disk/RAM ratio hint. This is what prices the `M_F`
-/// term of [`TData3`] when a run measured no I/O — an explicit model
-/// default rather than the old silent `1.0 block/s` fallback, which
-/// predicted multi-second read legs for instant runs.
-pub fn default_sigma_f(machine: &MachineConfig, sigma_ratio_hint: f64) -> f64 {
-    (machine.sigma_s * sigma_ratio_hint.max(1e-6)).max(1e-6)
+/// The staging a RAM budget of `budget_bytes` buys for `q×q` blocks:
+/// [`ooc_staging`] over a [`RING_SLOTS`]-deep ring at [`DISK_RAM_RATIO`].
+/// `None` when the budget cannot hold the minimal footprint. Both the
+/// multiply and the serve daemon's admission price size through it.
+pub fn staging_for_budget(budget_bytes: u64, q: usize) -> Option<OocStaging> {
+    ooc_staging(budget_bytes / (q * q * 8) as u64, RING_SLOTS, DISK_RAM_RATIO, 1.0)
 }
 
 /// Multiply the tiled files at `a_path` and `b_path` out of core,
@@ -360,7 +351,7 @@ fn ooc_multiply_inner(
 
     let budget_blocks = opts.mem_budget_bytes / block_bytes;
     let min_blocks = 1 + 2 * RING_SLOTS as u64; // α = β = 1 footprint
-    let staging = ooc_staging(budget_blocks, RING_SLOTS, opts.sigma_ratio_hint, 1.0)
+    let staging = staging_for_budget(opts.mem_budget_bytes, q)
         .ok_or(OocError::BudgetTooSmall(opts.mem_budget_bytes, min_blocks * block_bytes))?;
     let (alpha, beta) = (staging.alpha, staging.beta);
 
@@ -477,7 +468,7 @@ fn ooc_multiply_inner(
         md,
         // Unmeasured bandwidth prices at the machine model's assumed
         // rate, never a fictitious 1 block/s.
-        sigma_f: sigma_f.unwrap_or_else(|| default_sigma_f(&opts.machine, opts.sigma_ratio_hint)),
+        sigma_f: sigma_f.unwrap_or(opts.machine.sigma_s * DISK_RAM_RATIO),
         sigma_s: opts.machine.sigma_s,
         sigma_d: opts.machine.sigma_d,
     };
@@ -523,8 +514,9 @@ fn ooc_multiply_inner(
 ///   `bytes_read / predicted_bytes`, which is the paper-accountability
 ///   check in time units.
 /// * `accumulate` — in-core compute wall time against the product's
-///   `2·m·n·z·q³` FLOPs at the machine model's full-chip in-core rate
-///   (the `M_S/σ_S + M_D/σ_D` terms of the three-term `T_data`).
+///   `2·m·n·z·q³` FLOPs at the run kernel's measured roof
+///   ([`kernel::roof_gflops`]) times the pool's threads, priced by the
+///   same [`compute_us`] as the exec `tile` phase.
 /// * `stall` — measured compute-side prefetch stall against the
 ///   pipeline model's prediction: zero when predicted compute time
 ///   covers predicted read time (perfect overlap), else the uncovered
@@ -539,13 +531,11 @@ pub fn ooc_drift(report: &OocReport, band: f64) -> DriftReport {
     let pred_read_us = pred_read_bytes as f64 / sigma_f_bytes_per_us;
     let measured_read_us = report.prefetch.io_seconds * 1e6;
 
-    // In-core terms of T_data, in block accesses per σ (the machine
-    // model's native unit), converted to µs through σ_S blocks/s.
-    let pred_acc_us = (report.t_data3.ms / report.t_data3.sigma_s
-        + report.t_data3.md / report.t_data3.sigma_d)
-        * 1e6;
     let flops =
         2.0 * (report.q as f64).powi(3) * report.m as f64 * report.n as f64 * report.z as f64;
+    let variant = KernelVariant::from_name(&report.kernel).unwrap_or(KernelVariant::Scalar);
+    let pred_acc_us =
+        compute_us(flops, kernel::roof_gflops::<f64>(variant), rayon::current_num_threads());
     let measured_acc_us = report.compute_seconds * 1e6;
 
     let pred_stall_us = (pred_read_us - pred_acc_us).max(0.0);
@@ -558,8 +548,7 @@ pub fn ooc_drift(report: &OocReport, band: f64) -> DriftReport {
         vec![
             PhaseSample {
                 phase: "read".to_string(),
-                spans: report.prefetch.io_spans.len().max(report.prefetch.panels_staged as usize)
-                    as u64,
+                spans: report.prefetch.panels_staged,
                 measured_us: measured_read_us,
                 predicted_us: pred_read_us,
                 unit: "byte".to_string(),
@@ -639,41 +628,6 @@ pub fn ooc_verify(
     let mismatches =
         c.data().iter().zip(want.data()).filter(|(x, y)| x.to_bits() != y.to_bits()).count() as u64;
     Ok(mismatches)
-}
-
-/// Export the run as a Chrome trace: one Perfetto lane per I/O thread,
-/// one compute lane, and a cumulative `bytes_read` counter track.
-pub fn chrome_trace(report: &OocReport) -> String {
-    let mut b = ChromeTraceBuilder::new("mmc-ooc multiply");
-    for t in 0..report.io_threads {
-        b.thread(t as u64, &format!("io {t}"));
-    }
-    let compute_tid = report.io_threads as u64;
-    b.thread(compute_tid, "compute");
-    let mut reads: Vec<_> = report.prefetch.io_spans.iter().collect();
-    reads.sort_by_key(|s| s.start_us);
-    let mut cumulative = 0u64;
-    for s in &reads {
-        b.span(
-            s.thread as u64,
-            &s.label,
-            s.start_us as f64,
-            (s.dur_us.max(1)) as f64,
-            &[("bytes", s.bytes as f64)],
-        );
-        cumulative += s.bytes;
-        b.counter("bytes_read", (s.start_us + s.dur_us) as f64, cumulative as f64);
-    }
-    for s in &report.compute_spans {
-        b.span(
-            compute_tid,
-            &format!("C[{},{}] += k{}", s.i0, s.j0, s.k0),
-            s.start_us as f64,
-            (s.dur_us.max(1)) as f64,
-            &[],
-        );
-    }
-    b.finish()
 }
 
 #[cfg(test)]
@@ -790,6 +744,13 @@ mod tests {
         // predictor's read term, so the read phase's units_ratio is 1.
         let read = drift.phases.iter().find(|p| p.phase == "read").unwrap();
         assert!((read.units_ratio - 1.0).abs() < 1e-12, "units_ratio {}", read.units_ratio);
+        assert_eq!(read.spans, report.prefetch.panels_staged);
+        // Compute is priced at the kernel's measured roof on every pool
+        // thread: the run's FLOPs over (roof × threads).
+        let acc = drift.phases.iter().find(|p| p.phase == "accumulate").unwrap();
+        let roof = mmc_exec::kernel::roof_gflops::<f64>(opts.variant);
+        let want_us = acc.predicted_units / (roof * rayon::current_num_threads() as f64 * 1e3);
+        assert!((acc.predicted_us - want_us).abs() <= 1e-9 * want_us, "{}", acc.predicted_us);
         // The recorder saw the pipeline: read/stage spans per staged
         // panel, one accumulate span per compute step.
         if span::enabled() {
@@ -841,12 +802,7 @@ mod tests {
         // Zero-I/O run: unmeasured bandwidth, model default in TData3.
         report.prefetch.io_seconds = 0.0;
         report.sigma_f_blocks_per_s = None;
-        report.t_data3.sigma_f = default_sigma_f(&opts.machine, opts.sigma_ratio_hint);
-        // The default carries the machine's semantics — σ_S scaled by
-        // the disk/RAM ratio hint — not the old hardcoded 1.0 (which,
-        // unrelated to any bandwidth, predicted multi-second read legs
-        // for instant runs on real-bandwidth machines).
-        assert_eq!(report.t_data3.sigma_f, opts.machine.sigma_s * opts.sigma_ratio_hint);
+        report.t_data3.sigma_f = opts.machine.sigma_s * DISK_RAM_RATIO;
         let drift = ooc_drift(&report, 1.0);
         assert!(drift.all_finite());
         let read = drift.phases.iter().find(|p| p.phase == "read").unwrap();
@@ -860,11 +816,6 @@ mod tests {
             read.predicted_us,
             want_us
         );
-        // And on a machine with *real* bandwidths the default scales
-        // with them — the fix is machine-derived, not another constant.
-        let fast = MachineConfig::quad_q32().with_bandwidths(2.0e5, 8.0e5);
-        assert_eq!(default_sigma_f(&fast, 0.1), 2.0e4);
-
         // The Option round-trips as null through the report JSON.
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"sigma_f_blocks_per_s\":null"));
@@ -913,10 +864,5 @@ mod tests {
         let back: OocReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.staging, report.staging);
         assert!(report.t_data3.total() > 0.0);
-        let trace = chrome_trace(&report);
-        assert!(trace.contains("\"io 0\""), "I/O lane present");
-        assert!(trace.contains("\"compute\""), "compute lane present");
-        assert!(trace.contains("bytes_read"), "counter track present");
-        assert!(trace.contains("A[i=0,k=0]"), "panel span labeled");
     }
 }

@@ -23,6 +23,15 @@
 //!   three-term `T_data = M_F/σ_F + M_S/σ_S + M_D/σ_D`
 //!   ([`mmc_sim::TData3`]) with the *measured* disk bandwidth.
 //!
+//! Until disk bandwidth is measured before a run, one constant stands
+//! for it: [`DISK_RAM_RATIO`] (`σ_F/σ_S`) sizes `(α, β)`
+//! ([`staging_for_budget`], shared with the serve daemon's admission
+//! price) and prices the disk term of a run that timed no I/O. The drift
+//! report ([`ooc_drift`]) prices compute at the kernel's measured roof
+//! (`mmc_exec::kernel::roof_gflops`), not at the paper preset's `σ`, and
+//! the run's spans export through `mmc_exec::spans_to_chrome` like every
+//! other traced job.
+//!
 //! ```no_run
 //! use mmc_ooc::{ooc_multiply, write_pseudo_random, OocOpts};
 //! use std::path::Path;
@@ -45,9 +54,9 @@ pub mod pipeline;
 pub mod tiled;
 
 pub use gemm::{
-    chrome_trace, default_sigma_f, measured_sigma_f, ooc_drift, ooc_multiply,
-    ooc_multiply_cancellable, ooc_verify, write_pseudo_random, ComputeSpan, OocError, OocOpts,
-    OocReport, RING_SLOTS,
+    measured_sigma_f, ooc_drift, ooc_multiply, ooc_multiply_cancellable, ooc_verify,
+    staging_for_budget, write_pseudo_random, ComputeSpan, OocError, OocOpts, OocReport,
+    DISK_RAM_RATIO, RING_SLOTS,
 };
-pub use pipeline::{IoSpan, PrefetchStats, Prefetcher, StageRequest, StagedPanel};
+pub use pipeline::{PrefetchStats, Prefetcher, StageRequest, StagedPanel};
 pub use tiled::{TiledError, TiledFile, TiledHeader, TiledOutput, TiledWriter};

@@ -44,11 +44,9 @@ pub struct StageRequest {
     pub rows: u32,
     /// Panel width in blocks.
     pub cols: u32,
-    /// Human-readable tag for traces, e.g. `A[i=0,k=2]`.
-    pub label: String,
 }
 
-/// A staged panel: the filled buffer plus provenance and I/O timing.
+/// A staged panel: the filled buffer plus its provenance.
 #[derive(Debug)]
 pub struct StagedPanel {
     /// The request this panel answers.
@@ -60,27 +58,6 @@ pub struct StagedPanel {
     /// Block-major contents, `rows·cols·q²` elements. Return the
     /// allocation with [`Prefetcher::recycle`] when done.
     pub data: Vec<f64>,
-    /// Bytes read from disk for this panel.
-    pub bytes: u64,
-    /// Wall-clock seconds the positioned reads took.
-    pub io_seconds: f64,
-}
-
-/// One I/O span, for the flight recorder's per-thread I/O lanes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct IoSpan {
-    /// Which I/O thread issued the read.
-    pub thread: usize,
-    /// Staging sequence number.
-    pub seq: usize,
-    /// Trace label (from the request).
-    pub label: String,
-    /// Microseconds from pipeline start to read start.
-    pub start_us: u64,
-    /// Read duration in microseconds.
-    pub dur_us: u64,
-    /// Bytes read.
-    pub bytes: u64,
 }
 
 /// Aggregate pipeline statistics, reported in the JSON metrics snapshot.
@@ -101,8 +78,6 @@ pub struct PrefetchStats {
     /// Peak bytes checked out of the buffer pool at once: the measured
     /// resident panel memory, compared against the budget.
     pub peak_resident_bytes: u64,
-    /// Per-read spans for trace export.
-    pub io_spans: Vec<IoSpan>,
 }
 
 struct Shared {
@@ -118,8 +93,6 @@ struct Shared {
     io_ns: AtomicU64,
     checked_out_bytes: AtomicU64,
     peak_resident_bytes: AtomicU64,
-    spans: Mutex<Vec<IoSpan>>,
-    epoch: Instant,
     // Trace job of the spawning (compute) thread, stamped onto the I/O
     // threads' recorder spans — workers cannot see the caller's
     // thread-local job.
@@ -192,7 +165,7 @@ impl Prefetcher {
             assert!(
                 r.rows as usize * r.cols as usize * q * q <= panel_elems,
                 "panel {} exceeds the buffer size",
-                r.label
+                r.seq
             );
         }
         let total = requests.len();
@@ -207,8 +180,6 @@ impl Prefetcher {
             io_ns: AtomicU64::new(0),
             checked_out_bytes: AtomicU64::new(0),
             peak_resident_bytes: AtomicU64::new(0),
-            spans: Mutex::new(Vec::new()),
-            epoch: Instant::now(),
             job: span::current_job(),
         });
         let (tx, rx) = mpsc::channel();
@@ -311,7 +282,6 @@ impl Prefetcher {
             buffer_wait_seconds: shared.buffer_wait_ns.load(Ordering::Relaxed) as f64 / 1e9,
             io_seconds: shared.io_ns.load(Ordering::Relaxed) as f64 / 1e9,
             peak_resident_bytes: shared.peak_resident_bytes.load(Ordering::Relaxed),
-            io_spans: std::mem::take(&mut *shared.spans.lock().unwrap()),
         }
     }
 
@@ -420,22 +390,7 @@ fn worker(
                 shared.bytes_read.fetch_add(bytes, Ordering::Relaxed);
                 crate::metrics::bytes_read().add(bytes);
                 crate::metrics::panels_staged().add(1);
-                shared.spans.lock().unwrap().push(IoSpan {
-                    thread: tid,
-                    seq: req.seq,
-                    label: req.label.clone(),
-                    start_us: io_start.duration_since(shared.epoch).as_micros() as u64,
-                    dur_us: dur.as_micros() as u64,
-                    bytes,
-                });
-                Ok(StagedPanel {
-                    seq: req.seq,
-                    rows: req.rows,
-                    cols: req.cols,
-                    data: buf,
-                    bytes,
-                    io_seconds: dur.as_secs_f64(),
-                })
+                Ok(StagedPanel { seq: req.seq, rows: req.rows, cols: req.cols, data: buf })
             }
             Err(e) => {
                 shared.checked_out_bytes.fetch_sub((buf.capacity() * 8) as u64, Ordering::Relaxed);
@@ -474,7 +429,6 @@ mod tests {
                     bj0,
                     rows: ph.min(rows - bi0),
                     cols: pw.min(cols - bj0),
-                    label: format!("P[{bi0},{bj0}]"),
                 });
             }
         }
@@ -516,7 +470,6 @@ mod tests {
         assert_eq!(seen, n_reqs);
         let stats = pf.finish();
         assert_eq!(stats.panels_staged, n_reqs as u64);
-        assert_eq!(stats.io_spans.len(), n_reqs);
         assert!(
             stats.peak_resident_bytes <= (pool_buffers * panel_elems * 8) as u64,
             "peak {} exceeds pool bound",

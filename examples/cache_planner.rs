@@ -88,7 +88,7 @@ fn parse_args() -> Args {
         order: 1000,
         data_fraction: 2.0 / 3.0,
         ram_mb: None,
-        sigma_f: 0.1,
+        sigma_f: multicore_matmul::ooc::DISK_RAM_RATIO,
         calibrate: None,
     };
     let mut it = std::env::args().skip(1);

@@ -47,7 +47,7 @@ fn usage() -> ! {
            mmc trace --algo A --order N --out F [--preset P] [--setting S] [--granularity G] [--fma-time T]\n  \
            mmc figures <id>...|all|list [--out DIR] [--full] [--jobs N] [--resume] [--serial] [--quiet]\n  \
            mmc ooc gen --out F --rows R --cols C [--q Q] [--seed S]\n  \
-           mmc ooc multiply --a F --b F --out F --mem-budget BYTES[k|m|g] [--io-threads N] [--kernel K] [--preset P] [--sigma-ratio X] [--json] [--trace-out F] [--drift]\n  \
+           mmc ooc multiply --a F --b F --out F --mem-budget BYTES[k|m|g] [--io-threads N] [--kernel K] [--preset P] [--json] [--trace-out F] [--drift]\n  \
            mmc ooc verify --a F --b F --c F [--kernel K] [--preset P]\n  \
            mmc serve [--addr HOST:PORT] [--ram-budget BYTES[k|m|g]] [--workers N] [--preset P] [--band X]\n  \
            mmc list\n\
@@ -1049,11 +1049,6 @@ fn cmd_ooc(args: &[String]) {
             opts.io_threads = num(&flags, "io-threads", 2usize).max(1);
             opts.variant = kernel_flag(&flags);
             opts.machine = preset(&flags);
-            opts.sigma_ratio_hint = num(&flags, "sigma-ratio", 0.1f64);
-            if opts.sigma_ratio_hint <= 0.0 {
-                eprintln!("--sigma-ratio must be positive");
-                usage();
-            }
             // Give the run its own trace job so recorder spans (and the
             // report's drift section) are attributable to this invocation.
             multicore_matmul::obs::span::new_job();
@@ -1070,7 +1065,9 @@ fn cmd_ooc(args: &[String]) {
                 }
             };
             if let Some(path) = flags.get("trace-out") {
-                if let Err(e) = std::fs::write(path, ooc::chrome_trace(&report)) {
+                let spans = multicore_matmul::obs::span::collect_job(report.trace_job);
+                let trace = spans_to_chrome("mmc ooc multiply", &spans, &registry_counters());
+                if let Err(e) = std::fs::write(path, trace) {
                     eprintln!("error writing {path}: {e}");
                     exit(1);
                 }

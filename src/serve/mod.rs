@@ -110,11 +110,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Measure the host ([`crate::obs::host_roofs`]), bind, spawn the
-    /// accept loop and the dispatcher, and return. Measuring here, once,
-    /// keeps the STREAM sweep out of every job's drift pricing.
+    /// Measure the host ([`crate::obs::host_roofs`]) and the serve
+    /// variant's `f64` kernel roof ([`kernel::roof_gflops`]), bind, spawn
+    /// the accept loop and the dispatcher, and return. Measuring here,
+    /// once, keeps the measurements out of every job's drift pricing.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         crate::obs::host_roofs();
+        kernel::roof_gflops::<f64>(serve_variant());
         let listener =
             TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable bind address")
@@ -300,7 +302,6 @@ fn run_ooc_job(
         io_threads: spec.io_threads.max(1),
         variant: serve_variant(),
         machine: sched.machine.clone(),
-        sigma_ratio_hint: 0.1,
     };
     match ooc_multiply_cancellable(
         Path::new(&spec.a),
@@ -495,6 +496,25 @@ fn ooc_shape(spec: &OocJobSpec) -> Result<(u32, u32, u32, usize), String> {
     Ok((ha.rows, hb.cols, ha.cols, ha.q))
 }
 
+/// The longest request line (or HTTP header line) a connection may send,
+/// bytes: a longer one gets an error reply and the connection closes, so
+/// a client cannot make the server buffer an unbounded line.
+pub const MAX_LINE_BYTES: u64 = 64 << 10;
+
+/// Read one line of at most [`MAX_LINE_BYTES`] into `line`: `Ok(0)` at
+/// end of stream, an [`io::ErrorKind::InvalidData`] error for a longer
+/// line (or one that is not UTF-8).
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE_BYTES + 1).read_line(line)?;
+    if n as u64 > MAX_LINE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    Ok(n)
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -502,8 +522,15 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> 
     let mut first = true;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
+        match read_bounded_line(&mut reader, &mut line) {
+            Ok(0) => return Ok(()),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let reply = protocol::error_line(&e.to_string()) + "\n";
+                writer.write_all(reply.as_bytes())?;
+                return writer.flush();
+            }
+            Err(e) => return Err(e),
         }
         if first && (line.starts_with("GET ") || line.starts_with("HEAD ")) {
             return serve_http(&line, &mut reader, &mut writer);
@@ -536,14 +563,24 @@ fn serve_http(
 ) -> io::Result<()> {
     // Drain the request headers so the client sees a clean close.
     let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 {
-        if header == "\r\n" || header == "\n" {
-            break;
-        }
+    let mut too_long = None;
+    loop {
         header.clear();
+        match read_bounded_line(reader, &mut header) {
+            Ok(0) => break,
+            Ok(_) if header == "\r\n" || header == "\n" => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                too_long = Some(e);
+                break;
+            }
+            Err(e) => return Err(e),
+        }
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
-    let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
+    let (status, body) = if let Some(e) = too_long {
+        ("431 Request Header Fields Too Large", format!("{e}\n"))
+    } else if path == "/metrics" || path.starts_with("/metrics?") {
         ("200 OK", crate::obs::global().render_prometheus())
     } else {
         ("404 Not Found", format!("no such path {path}; try /metrics\n"))

@@ -19,11 +19,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use crate::core::params::ooc_staging;
 use crate::core::{formulas, OocStaging, ProblemSpec};
 use crate::exec::{CancelToken, Tiling};
 use crate::obs::DriftReport;
-use crate::ooc::{default_sigma_f, RING_SLOTS};
+use crate::ooc::{staging_for_budget, DISK_RAM_RATIO, RING_SLOTS};
 use crate::sim::{strassen as sim_strassen, CostEnv, MachineConfig, TData3};
 use serde::{Deserialize, Serialize};
 
@@ -184,9 +183,10 @@ pub fn price_mem(spec: &MemJobSpec, machine: &MachineConfig) -> Result<JobPrice,
 
 /// Price an out-of-core job from its shape and staging budget: the
 /// resident footprint is the `(α, β)` ring the budget buys (`C` tile
-/// plus both operand streams, [`OocStaging::resident_blocks`]);
-/// `T_data`'s disk leg prices the staging predictor's traffic at the
-/// machine's assumed disk bandwidth.
+/// plus both operand streams, [`OocStaging::resident_blocks`]), sized
+/// by the same [`staging_for_budget`] the multiply runs with; `T_data`'s
+/// disk leg prices the staging predictor's traffic at the assumed disk
+/// bandwidth `σ_S ×` [`DISK_RAM_RATIO`].
 pub fn price_ooc(
     spec: &OocJobSpec,
     m: u32,
@@ -196,8 +196,7 @@ pub fn price_ooc(
     machine: &MachineConfig,
 ) -> Result<JobPrice, String> {
     let block_bytes = (q * q * 8) as u64;
-    let budget_blocks = spec.mem_budget_bytes / block_bytes;
-    let staging = ooc_staging(budget_blocks, RING_SLOTS, 0.1, 1.0).ok_or_else(|| {
+    let staging = staging_for_budget(spec.mem_budget_bytes, q).ok_or_else(|| {
         format!(
             "mem_budget of {} bytes is below the minimal out-of-core staging footprint \
              ({} blocks of {q}x{q})",
@@ -211,7 +210,7 @@ pub fn price_ooc(
         mf: staging.disk_blocks(m, n, z) as f64,
         ms,
         md,
-        sigma_f: default_sigma_f(machine, 0.1),
+        sigma_f: machine.sigma_s * DISK_RAM_RATIO,
         sigma_s: machine.sigma_s,
         sigma_d: machine.sigma_d,
     }
@@ -634,6 +633,41 @@ mod tests {
 
     fn mem_spec(m: u32, n: u32, z: u32, q: usize) -> MemJobSpec {
         MemJobSpec { m, n, z, q, seed_a: 1, seed_b: 2, algo: "classic".into() }
+    }
+
+    /// Admission reserves the staging the multiply will run with: for
+    /// any budget, `price_ooc`'s staging is the one `ooc_multiply`
+    /// reports, and its disk term is priced at the assumed `σ_F`.
+    #[test]
+    fn ooc_price_stages_like_the_multiply() {
+        use crate::ooc::{ooc_multiply, write_pseudo_random, OocOpts};
+        let dir = std::env::temp_dir().join(format!("mmc-price-ooc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b, c) = (dir.join("a.tiled"), dir.join("b.tiled"), dir.join("c.tiled"));
+        let (m, z, n, q) = (7u32, 5u32, 6u32, 4usize);
+        write_pseudo_random(&a, m, z, q, 1).unwrap();
+        write_pseudo_random(&b, z, n, q, 2).unwrap();
+        let machine = MachineConfig::quad_q32();
+        let block_bytes = (q * q * 8) as u64;
+        for blocks in [5u64, 9, 24, 40, 70, 500] {
+            let spec = OocJobSpec {
+                a: a.display().to_string(),
+                b: b.display().to_string(),
+                out: c.display().to_string(),
+                mem_budget_bytes: blocks * block_bytes,
+                io_threads: 1,
+            };
+            let price = price_ooc(&spec, m, n, z, q, &machine).unwrap();
+            let report = ooc_multiply(&a, &b, &c, &OocOpts::new(spec.mem_budget_bytes)).unwrap();
+            assert_eq!(price.staging, Some(report.staging), "budget of {blocks} blocks");
+            let (ms, md) = in_core_misses(m, n, z, &machine);
+            let disk = report.staging.disk_blocks(m, n, z) as f64;
+            let want = disk / (machine.sigma_s * DISK_RAM_RATIO)
+                + ms / machine.sigma_s
+                + md / machine.sigma_d;
+            assert!((price.t_data - want).abs() <= 1e-12 * want, "{} vs {want}", price.t_data);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

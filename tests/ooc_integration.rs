@@ -207,9 +207,16 @@ fn cli_gen_multiply_verify_round_trip_with_metrics() {
     assert!(report.peak_resident_bytes <= 16 * 1024);
     assert_eq!((report.m, report.n, report.z), (9, 7, 8));
     assert!(report.prefetch.bytes_read > 0);
+    // The trace is the run's recorder spans (one lane per span kind and
+    // thread) plus the registry counters.
     let trace_text = std::fs::read_to_string(&trace).unwrap();
-    assert!(trace_text.contains("\"io 0\""), "I/O lane in trace");
-    assert!(trace_text.contains("bytes_read"), "counter in trace");
+    let parsed: serde_json::Value = serde_json::from_str(&trace_text).expect("trace is JSON");
+    assert!(parsed.get("traceEvents").is_some(), "{trace_text}");
+    assert!(trace_text.contains("ooc.bytes_read"), "counter in trace");
+    if multicore_matmul::obs::span::enabled() {
+        assert!(trace_text.contains("\"io0 read\""), "I/O lane in trace");
+        assert!(trace_text.contains("\"caller accumulate\""), "compute lane in trace");
+    }
     let (ok, stdout, stderr) = mmc(&[
         "ooc",
         "verify",

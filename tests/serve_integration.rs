@@ -182,7 +182,6 @@ fn concurrent_jobs_pack_within_budget_and_match_direct_apis() {
         opts.io_threads = spec.io_threads;
         opts.variant = variant;
         opts.machine = machine.clone();
-        opts.sigma_ratio_hint = 0.1;
         ooc_multiply(
             std::path::Path::new(&spec.a),
             std::path::Path::new(&spec.b),
@@ -212,19 +211,24 @@ fn concurrent_jobs_pack_within_budget_and_match_direct_apis() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The host's rates are measured once per process, when the server
-/// starts, and never again by a served job; each classic job's report
-/// still carries all six exec drift phases, priced from that one
-/// measurement, with finite ratios.
+/// The host's rates and the serve variant's kernel roof are measured
+/// once per process, when the server starts, and never again by a
+/// served job; each classic job's report still carries the exec `tile`
+/// drift phase, priced from that one roof, with finite ratios.
 #[test]
 fn served_jobs_share_one_host_measurement() {
+    use multicore_matmul::obs::roofline::{
+        HOST_MEASUREMENTS_COUNTER, KERNEL_ROOF_MEASUREMENTS_COUNTER,
+    };
     let measurements = || {
-        multicore_matmul::obs::global()
-            .snapshot()
-            .counter(multicore_matmul::obs::roofline::HOST_MEASUREMENTS_COUNTER)
+        let snapshot = multicore_matmul::obs::global().snapshot();
+        (
+            snapshot.counter(HOST_MEASUREMENTS_COUNTER),
+            snapshot.counter(KERNEL_ROOF_MEASUREMENTS_COUNTER),
+        )
     };
     let server = Server::start(ServeConfig::default()).unwrap();
-    assert_eq!(measurements(), Some(1), "Server::start measures the host");
+    assert_eq!(measurements(), (Some(1), Some(1)), "Server::start measures the host");
     let mut client = Client::connect(server.local_addr());
 
     let ids: Vec<u64> = (0..5)
@@ -262,8 +266,53 @@ fn served_jobs_share_one_host_measurement() {
             }
         }
     }
-    assert_eq!(measurements(), Some(1), "no served job measured the host again");
+    assert_eq!(measurements(), (Some(1), Some(1)), "no served job measured the host again");
 
+    client.call(r#"{"cmd":"shutdown"}"#);
+    server.wait();
+}
+
+/// A request line longer than the server's cap is not buffered whole:
+/// the client gets an error reply, that connection closes, and the
+/// server goes on answering other clients. The same cap bounds the
+/// header lines of an HTTP request.
+#[test]
+fn over_long_request_lines_are_refused_and_the_server_lives_on() {
+    use multicore_matmul::serve::MAX_LINE_BYTES;
+    let server = Server::start(ServeConfig::default()).unwrap();
+
+    // 1 MiB with no newline, written from its own thread: the server
+    // stops reading after the cap, so the rest of the write may fail.
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    // A server that buffered the whole line would never reply: fail
+    // instead of hanging.
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply");
+    let reply: Value = serde_json::from_str(&line).expect("reply is JSON");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false), "{reply:?}");
+    assert!(str_of(&reply, "error").contains(&MAX_LINE_BYTES.to_string()), "{reply:?}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "connection closed: {line:?}");
+    flood.join().unwrap();
+
+    // An HTTP request with an over-long header line gets a 431.
+    let mut http = TcpStream::connect(server.local_addr()).unwrap();
+    let header = format!("X-Long: {}\r\n\r\n", "y".repeat(MAX_LINE_BYTES as usize));
+    let _ = http.write_all(format!("GET /metrics HTTP/1.1\r\n{header}").as_bytes());
+    let mut response = String::new();
+    let _ = http.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 431"), "{response}");
+
+    // The next client is served as usual.
+    let mut client = Client::connect(server.local_addr());
+    let resp = client.call(r#"{"cmd":"stats"}"#);
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{resp:?}");
     client.call(r#"{"cmd":"shutdown"}"#);
     server.wait();
 }
