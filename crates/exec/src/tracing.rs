@@ -33,7 +33,7 @@ use mmc_obs::{DriftReport, PhaseSample};
 use mmc_sim::ChromeTraceBuilder;
 
 /// One traced executor run: the job id it recorded under, the process
-/// epoch offset when it started, and every span it left in the rings.
+/// epoch offset when it started, and every span it left in the span log.
 #[derive(Clone, Debug)]
 pub struct TracedRun {
     /// Trace job id (process-unique; see [`span::new_job`]).

@@ -4,10 +4,10 @@
 //! the layer that closes the paper's predicted-vs-measured loop.
 //!
 //! * [`registry`] — a zero-dependency, lock-free metrics registry
-//!   (per-thread sharded counters, gauges, log2-bucketed histograms)
+//!   (one relaxed atomic per counter, gauges, log2-bucketed histograms)
 //!   with a process-wide instance ([`registry::global`]), serializable
-//!   snapshots, and Prometheus-style text exposition for the future
-//!   `mmc serve` scraper.
+//!   snapshots, and the Prometheus-style text that `mmc serve` answers
+//!   `GET /metrics` with.
 //! * [`perf_event`] — a raw `perf_event_open(2)` wrapper (no external
 //!   deps) that samples cycles / instructions / LLC loads & misses
 //!   around any GEMM run and degrades gracefully to a
@@ -17,10 +17,9 @@
 //!   STREAM-triad bandwidth, measured once per process) plus derived
 //!   arithmetic-intensity / percent-of-peak records for
 //!   `BENCH_exec.json`.
-//! * [`span`] — per-job span tracing: lock-free per-thread ring-buffer
-//!   recorders (seqlock slots, overwrite-oldest, no allocation or
-//!   locking on the hot path) stamping every executor work unit and ooc
-//!   pipeline stage with its predicted cost.
+//! * [`span`] — per-job span tracing: one bounded, overwrite-oldest
+//!   process-wide log behind a mutex, stamping every executor work unit
+//!   and ooc pipeline stage with its predicted cost.
 //! * [`drift`] — per-phase measured/predicted ratio reports over traced
 //!   spans, with band flagging and always-finite ratios.
 //!
@@ -44,7 +43,7 @@ pub use registry::{
     HistogramSnapshot, Registry, RegistrySnapshot,
 };
 pub use roofline::{host_roofs, roofline_bound, HostRoofs, RooflineRecord};
-pub use span::{SpanKind, SpanRecord, ThreadRing};
+pub use span::{SpanKind, SpanRecord};
 
 /// Version stamped into every `--json` report across `simulate` / `exec`
 /// / `profile` / `ooc` / `counters` and `BENCH_*.json`. Bump when a

@@ -1,55 +1,32 @@
-//! The lock-free metrics registry: sharded counters, gauges and
-//! log-bucketed histograms behind a global snapshot API.
+//! The lock-free metrics registry: counters, gauges and log-bucketed
+//! histograms behind a global snapshot API.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **The hot path takes no lock.** A [`Counter`] is a fixed array of
-//!    cache-line-padded `AtomicU64` shards; each thread hashes to one
-//!    shard (assigned round-robin at first use, so rayon workers spread
-//!    out even when thread ids cluster) and does one relaxed
-//!    `fetch_add`. Instrumented kernels call this once per *tile*, not
-//!    per FLOP, so the cost disappears under the arithmetic it counts.
+//! 1. **The hot path takes no lock.** A [`Counter`] is one `AtomicU64`
+//!    bumped with one relaxed `fetch_add`. Instrumented code calls this
+//!    once per work unit or ooc panel, not per FLOP, so the cost
+//!    disappears under the arithmetic it counts.
 //! 2. **Registration is cold.** [`Registry::counter`] takes a `Mutex`
 //!    only to intern the name; call sites cache the returned
 //!    `Arc<Counter>` in a `OnceLock` and never look it up again.
 //! 3. **Snapshots are serializable.** [`RegistrySnapshot`] derives
 //!    `Serialize`/`Deserialize` so `mmc counters --json` and the golden
 //!    reconciliation tests read the same structure, and
-//!    [`Registry::render_prometheus`] emits the text exposition format a
-//!    future `mmc serve` scheduler can scrape.
+//!    [`Registry::render_prometheus`] emits the text exposition format
+//!    `mmc serve` answers `GET /metrics` with.
 //!
-//! Counter reads ([`Counter::get`]) sum the shards with relaxed loads:
-//! exact once the writing threads have quiesced (the reconciliation
-//! tests read after `join`), monotone but possibly mid-update otherwise.
+//! Counter reads ([`Counter::get`]) are relaxed loads: exact once the
+//! writing threads have quiesced (the reconciliation tests read after
+//! `join`), monotone otherwise.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shards per counter. A power of two comfortably above the core count
-/// of the machines this repo targets (the paper's quad-core, CI runners).
-const SHARDS: usize = 16;
-
-/// One shard on its own cache line, so two threads bumping different
-/// shards never false-share.
-#[repr(align(64))]
+/// A monotonically increasing counter.
 #[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// The shard this thread writes, assigned round-robin at first use.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// A monotonically increasing, thread-sharded counter.
-#[derive(Default)]
-pub struct Counter {
-    shards: [PaddedU64; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A fresh zero counter.
@@ -57,15 +34,15 @@ impl Counter {
         Counter::default()
     }
 
-    /// Add `n` to this thread's shard (lock-free, relaxed).
+    /// Add `n` (lock-free, relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 

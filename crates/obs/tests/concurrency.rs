@@ -1,16 +1,17 @@
-//! Concurrency proptests: the sharded counters must never lose an
-//! increment no matter how many threads hammer them, how the increments
-//! are sized, or how the work is split — and the span ring's seqlock
-//! must never hand a reader a torn record, no matter how the writer's
-//! overwrites interleave with concurrent scans.
+//! Concurrency proptests: the counters must never lose an increment no
+//! matter how many threads hammer them, how the increments are sized, or
+//! how the work is split — and the span log must keep exactly its newest
+//! spans, hand each span to one drain, and give every job back its own
+//! spans while many threads emit and another collects.
 
-use mmc_obs::span::{SpanKind, SpanRecord, ThreadRing};
+use mmc_obs::span::{self, SpanKind, SpanLog, SpanRecord};
 use mmc_obs::{Counter, Gauge, Registry};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
-/// A record whose every field is derived from one index, so a reader
-/// can prove the record it got back is internally consistent (untorn).
+/// A record whose every field is derived from one index, so a test can
+/// tell which push a record came from and that it came back whole.
 fn coded(i: u64) -> SpanRecord {
     SpanRecord {
         job: i,
@@ -24,10 +25,9 @@ fn coded(i: u64) -> SpanRecord {
     }
 }
 
-/// The tear check: every field must agree with the record's `job` index.
-fn assert_coded(r: &SpanRecord) {
-    let expect = coded(r.job);
-    assert_eq!(*r, expect, "torn record for index {}", r.job);
+/// The pushes with indices `lo..hi`, as [`coded`] records.
+fn coded_range(lo: u64, hi: u64) -> Vec<SpanRecord> {
+    (lo..hi).map(coded).collect()
 }
 
 proptest! {
@@ -122,100 +122,164 @@ proptest! {
         }
     }
 
-    /// One writer overwriting a small ring while reader threads scan it
-    /// continuously: no scan ever returns a torn record (nor, for a
-    /// job-filtered scan, another job's record), and a quiescent scan
-    /// afterwards returns exactly the most recent `capacity` spans in
-    /// push order.
+    /// A small log keeps exactly the newest `capacity` spans, in push
+    /// order, however far the pushes wrap it; a job whose only span was
+    /// overwritten collects nothing.
     #[test]
-    fn ring_scans_never_tear_under_concurrent_overwrite(
+    fn log_overwrite_keeps_the_newest_capacity_spans_in_push_order(
         capacity in 1usize..64,
-        pushes in 1u64..2_000,
-        readers in 1usize..4,
+        pushes in 0u64..2_000,
     ) {
-        let ring = Arc::new(ThreadRing::new(capacity));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let r = Arc::clone(&ring);
-                let s = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut seen = 0usize;
-                    let mut hits = Vec::new();
-                    while !s.load(std::sync::atomic::Ordering::Acquire) {
-                        for rec in r.scan() {
-                            assert_coded(&rec);
-                            seen += 1;
-                        }
-                        // `coded(i)` is job `i`: ask for one that lives
-                        // in the ring for a while, then is overwritten.
-                        hits.clear();
-                        r.scan_job(pushes / 2, &mut hits);
-                        for rec in &hits {
-                            assert_coded(rec);
-                            assert_eq!(rec.job, pushes / 2);
-                        }
+        let mut log = SpanLog::new(capacity);
+        for i in 0..pushes {
+            log.push(coded(i));
+        }
+        prop_assert_eq!(log.pushed(), pushes);
+        let lo = pushes.saturating_sub(capacity as u64);
+        prop_assert_eq!(log.drain(), coded_range(lo, pushes));
+        if pushes > 0 {
+            // `coded(i)` is job `i`.
+            prop_assert_eq!(log.collect_job(pushes - 1), vec![coded(pushes - 1)]);
+        }
+        if lo > 0 {
+            prop_assert!(log.collect_job(lo - 1).is_empty());
+        }
+    }
+
+    /// Successive drains partition the pushes: each returns exactly the
+    /// spans pushed since the previous drain that the log still holds
+    /// (the newest `min(batch, capacity)`), so no span is reported twice
+    /// and the last one pushed is always reported.
+    #[test]
+    fn log_drains_partition_the_pushes(
+        capacity in 1usize..48,
+        batches in prop::collection::vec(0u64..96, 1..8),
+    ) {
+        let mut log = SpanLog::new(capacity);
+        let mut next = 0u64;
+        let mut reported: Vec<u64> = Vec::new();
+        for batch in &batches {
+            let first = next;
+            for _ in 0..*batch {
+                log.push(coded(next));
+                next += 1;
+            }
+            let got = log.drain();
+            let lo = first.max(next.saturating_sub(capacity as u64));
+            prop_assert_eq!(&got, &coded_range(lo, next));
+            reported.extend(got.iter().map(|r| r.job));
+        }
+        prop_assert!(reported.windows(2).all(|w| w[0] < w[1]), "{reported:?}");
+        if next > 0 {
+            prop_assert_eq!(reported.last().copied(), Some(next - 1));
+        }
+        prop_assert!(log.drain().is_empty());
+    }
+}
+
+/// Long-lived emitting threads (indices `0..LONG`) and the spans each
+/// emits; short-lived ones take the next `SHORT` indices.
+const LONG: u32 = 3;
+const LONG_SPANS: u32 = 400;
+const SHORT: u32 = 200;
+const SHORT_SPANS: u32 = 4;
+
+/// The record thread `t` emits as its `i`-th span: jobs alternate with
+/// `i`, and the start time is unique, so collections sort by it alone.
+fn emitted(t: u32, i: u32, jobs: [u64; 2]) -> SpanRecord {
+    SpanRecord {
+        job: jobs[(i % 2) as usize],
+        kind: if t < LONG { SpanKind::Tile } else { SpanKind::Read },
+        thread: Some(t),
+        start_ns: 1_000 * u64::from(t) + u64::from(i),
+        dur_ns: u64::from(i),
+        pred: u64::from(t),
+        val: u64::from(t) + u64::from(i),
+        args: [t, i, 0, 0],
+    }
+}
+
+fn emit_record(r: &SpanRecord) {
+    span::emit(r.job, r.kind, r.thread, r.start_ns, r.dur_ns, r.pred, r.val, r.args);
+}
+
+/// Three long-lived and 200 short-lived threads emit two interleaved
+/// jobs into the one process-wide log while another thread collects
+/// and drains it all the while. Every collection returns only whole
+/// records of its job; afterwards `collect_job` returns each job's
+/// spans exactly and the drains together returned every span once.
+#[test]
+fn one_log_serves_many_emitters_and_a_concurrent_collector() {
+    let jobs = [span::new_job(), span::new_job()];
+    let mut expect: [Vec<SpanRecord>; 2] = [Vec::new(), Vec::new()];
+    for t in 0..LONG + SHORT {
+        for i in 0..if t < LONG { LONG_SPANS } else { SHORT_SPANS } {
+            expect[(i % 2) as usize].push(emitted(t, i, jobs));
+        }
+    }
+    for e in &mut expect {
+        e.sort_by_key(|r| r.start_ns);
+    }
+
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(LONG as usize + 2);
+    let drained = std::thread::scope(|s| {
+        let collector = s.spawn(|| {
+            start.wait();
+            let mut drained = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                for (j, job) in jobs.iter().enumerate() {
+                    for r in span::collect_job(*job) {
+                        let (t, i) = (r.args[0], r.args[1]);
+                        assert_eq!(r, emitted(t, i, jobs));
+                        assert_eq!(i % 2, j as u32);
                     }
-                    seen
+                }
+                drained.extend(span::drain());
+            }
+            drained
+        });
+        let mut emitters: Vec<_> = (0..LONG)
+            .map(|t| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..LONG_SPANS {
+                        emit_record(&emitted(t, i, jobs));
+                    }
                 })
             })
             .collect();
-        for i in 0..pushes {
-            ring.push(&coded(i));
+        emitters.push(s.spawn(|| {
+            start.wait();
+            for t in LONG..LONG + SHORT {
+                std::thread::spawn(move || {
+                    for i in 0..SHORT_SPANS {
+                        emit_record(&emitted(t, i, jobs));
+                    }
+                })
+                .join()
+                .unwrap();
+            }
+        }));
+        for e in emitters {
+            e.join().unwrap();
         }
-        stop.store(true, std::sync::atomic::Ordering::Release);
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Quiescent scan: exactly the newest min(pushes, capacity) spans,
-        // in push order, none torn.
-        let live = ring.scan();
-        let expect_lo = pushes.saturating_sub(capacity as u64);
-        prop_assert_eq!(live.len() as u64, pushes - expect_lo);
-        for (offset, rec) in live.iter().enumerate() {
-            assert_coded(rec);
-            prop_assert_eq!(rec.job, expect_lo + offset as u64);
-        }
-        prop_assert_eq!(ring.head(), pushes);
-        let mut newest = Vec::new();
-        ring.scan_job(pushes - 1, &mut newest);
-        prop_assert_eq!(newest, vec![coded(pushes - 1)]);
-    }
+        done.store(true, Ordering::Release);
+        let mut drained = collector.join().unwrap();
+        drained.extend(span::drain());
+        drained
+    });
 
-    /// The consuming sweep never double-reports and never skips a span
-    /// that was still live at sweep time: consecutive `collect_new`
-    /// calls partition the pushed indices (modulo overwrite loss, which
-    /// can only drop the *oldest* spans between sweeps).
-    #[test]
-    fn ring_collect_new_partitions_pushes(
-        capacity in 1usize..48,
-        batches in prop::collection::vec(1u64..96, 1..8),
-    ) {
-        let ring = ThreadRing::new(capacity);
-        let mut next = 0u64;
-        let mut collected: Vec<u64> = Vec::new();
-        for batch in &batches {
-            for _ in 0..*batch {
-                ring.push(&coded(next));
-                next += 1;
-            }
-            for rec in ring.collect_new() {
-                assert_coded(&rec);
-                collected.push(rec.job);
-            }
-        }
-        // No duplicates, strictly increasing (each sweep resumes past
-        // the watermark), and the final span is always reported.
-        prop_assert!(collected.windows(2).all(|w| w[0] < w[1]), "{collected:?}");
-        prop_assert_eq!(*collected.last().unwrap(), next - 1);
-        // A sweep after quiescence finds nothing left.
-        prop_assert!(ring.collect_new().is_empty());
-        // Only overwrite can lose spans, and it only loses the oldest:
-        // each batch contributes at least its newest min(batch, capacity).
-        let min_kept: u64 =
-            batches.iter().map(|b| (*b).min(capacity as u64)).sum();
-        prop_assert!(collected.len() as u64 >= min_kept, "{} < {min_kept}", collected.len());
+    for (j, job) in jobs.iter().enumerate() {
+        assert_eq!(span::collect_job(*job), expect[j]);
     }
+    let mut drained: Vec<SpanRecord> =
+        drained.into_iter().filter(|r| jobs.contains(&r.job)).collect();
+    drained.sort_by_key(|r| r.start_ns);
+    let mut all: Vec<SpanRecord> = expect.concat();
+    all.sort_by_key(|r| r.start_ns);
+    assert_eq!(drained, all);
 }
 
 /// A non-proptest sanity check that gauges tolerate concurrent set/add

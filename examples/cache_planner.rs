@@ -13,11 +13,9 @@
 //!
 //! All flags are optional; defaults describe the paper's quad-core.
 //!
-//! Pass `--calibrate FILE` with a saved `mmc counters --json` report to
-//! fold the machine's measured-vs-predicted shared-traffic ratio into
-//! the plan: the observed ratio deflates the effective sigma_S before
-//! the out-of-core staging is sized, so a machine that misses more than
-//! the model predicts gets deeper staging.
+//! Pass `--ram-mb N` to also print the out-of-core staging that
+//! `mmc ooc multiply --mem-budget Nm` runs at this `--q`: the planner
+//! sizes it with the multiply's own `mmc_ooc::staging_for_budget`.
 
 use multicore_matmul::prelude::*;
 
@@ -31,50 +29,6 @@ struct Args {
     order: u32,
     data_fraction: f64,
     ram_mb: Option<usize>,
-    sigma_f: f64,
-    calibrate: Option<String>,
-}
-
-/// A calibration extracted from an `mmc counters --json` report:
-/// the measured LLC-miss traffic over the model's predicted shared
-/// traffic for the same point, or the reason no ratio is available.
-enum Calibration {
-    Ratio(f64),
-    Unavailable(String),
-}
-
-/// Read the measured-vs-predicted ratio out of a counters report. The
-/// report carries the precomputed ratio when hardware counters were
-/// live (`derived.measured_vs_predicted_bytes`); when they were not it
-/// says so via `counters: "unavailable"`, and the plan proceeds
-/// uncalibrated rather than failing.
-fn read_calibration(path: &str) -> Calibration {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return Calibration::Unavailable(format!("cannot read {path}: {e}")),
-    };
-    let report: serde::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => return Calibration::Unavailable(format!("cannot parse {path}: {e}")),
-    };
-    if report.get("counters").and_then(|c| c.as_str()) == Some("unavailable") {
-        let reason = report
-            .get("counters_reason")
-            .and_then(|r| r.as_str())
-            .unwrap_or("no reason recorded")
-            .to_string();
-        return Calibration::Unavailable(format!("report has counters: unavailable ({reason})"));
-    }
-    match report
-        .get("derived")
-        .and_then(|d| d.get("measured_vs_predicted_bytes"))
-        .and_then(|r| r.as_f64())
-    {
-        Some(r) if r > 0.0 => Calibration::Ratio(r),
-        _ => Calibration::Unavailable(
-            "report carries no measured_vs_predicted_bytes ratio".to_string(),
-        ),
-    }
 }
 
 fn parse_args() -> Args {
@@ -88,8 +42,6 @@ fn parse_args() -> Args {
         order: 1000,
         data_fraction: 2.0 / 3.0,
         ram_mb: None,
-        sigma_f: multicore_matmul::ooc::DISK_RAM_RATIO,
-        calibrate: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -109,8 +61,6 @@ fn parse_args() -> Args {
             "--order" => a.order = val().parse().expect("--order"),
             "--data-fraction" => a.data_fraction = val().parse().expect("--data-fraction"),
             "--ram-mb" => a.ram_mb = Some(val().parse().expect("--ram-mb")),
-            "--sigma-f" => a.sigma_f = val().parse().expect("--sigma-f"),
-            "--calibrate" => a.calibrate = Some(val()),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -209,42 +159,15 @@ fn main() {
         println!("recommendation: {name} (predicted T_data = {t:.0})");
     }
 
-    // Calibration: a prior `mmc counters --json` report tells us how far
-    // this machine's measured LLC traffic sits from the model. A ratio
-    // above 1 means the model is optimistic here, so the effective
-    // shared-level bandwidth is derated by the same factor before the
-    // staging parameters are sized.
-    let mut effective_sigma_s = args.sigma_s;
-    if let Some(path) = &args.calibrate {
-        match read_calibration(path) {
-            Calibration::Ratio(r) => {
-                effective_sigma_s = args.sigma_s / r;
-                println!(
-                    "\ncalibration ({path}): measured / predicted shared traffic = {r:.2}x \
-                     -> effective sigma_S {:.3} (was {:.3})",
-                    effective_sigma_s, args.sigma_s
-                );
-            }
-            Calibration::Unavailable(why) => {
-                println!("\ncalibration ({path}): skipped — {why}");
-            }
-        }
-    }
-
     // With --ram-mb the planner also sizes the out-of-core level: RAM
     // plays the role of the shared cache and disk the role of memory, so
-    // the same §3.3 sizing yields the (alpha, beta) staging for
-    // `mmc ooc multiply --mem-budget`.
+    // the same §3.3 sizing yields the (alpha, beta) staging, computed by
+    // the function `mmc ooc multiply --mem-budget` itself calls.
     if let Some(ram_mb) = args.ram_mb {
         let budget_bytes = ram_mb as u64 * 1024 * 1024;
         let budget_blocks = budget_bytes / block_bytes as u64;
         println!("\nout-of-core staging for a {ram_mb} MiB RAM budget ({budget_blocks} blocks):");
-        match params::ooc_staging(
-            budget_blocks,
-            multicore_matmul::ooc::RING_SLOTS,
-            args.sigma_f,
-            effective_sigma_s,
-        ) {
+        match multicore_matmul::ooc::staging_for_budget(budget_bytes, args.q) {
             Some(s) => {
                 let n = args.order;
                 println!(
@@ -256,11 +179,9 @@ fn main() {
                     s.resident_blocks() as f64 * block_bytes as f64 / (1 << 20) as f64
                 );
                 println!(
-                    "  predicted disk traffic for the {n}x{n} block product: {} blocks \
-                     ({:.1} MiB at sigma_F = {})",
+                    "  predicted disk traffic for the {n}x{n} block product: {} blocks ({:.1} MiB)",
                     s.disk_blocks(n, n, n),
                     s.disk_blocks(n, n, n) as f64 * block_bytes as f64 / (1 << 20) as f64,
-                    args.sigma_f
                 );
                 println!(
                     "  run: mmc ooc multiply --a A.tiled --b B.tiled --out C.tiled \

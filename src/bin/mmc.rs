@@ -56,7 +56,7 @@ fn usage() -> ! {
          tilings (exec): shared_opt distributed_opt tradeoff equal; (lu): row_stripes shared_opt tradeoff;\n\
          granularities (trace): auto events steps;\n\
          kernels (--kernel K, env MMC_KERNEL=K forces the exec micro-kernel variant): {kernels};\n\
-         env: MMC_SPANS=off disables the always-on span recorder; MMC_SPAN_RING=N sets its per-thread ring capacity"
+         env: MMC_SPANS=off disables the always-on span recorder"
     );
     exit(2);
 }

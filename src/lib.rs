@@ -29,7 +29,7 @@
 //!   metrics registry, raw `perf_event_open` hardware-counter sampling
 //!   with graceful fallback, roofline records that put the paper's
 //!   predicted `M_S`/`T_data` next to measured LLC misses, per-job span
-//!   tracing through lock-free per-thread rings, and
+//!   tracing into one bounded process-wide log, and
 //!   predicted-vs-measured drift reports over the traced phases.
 //!
 //! On top of those it adds [`serve`] — the `mmc serve` daemon: a

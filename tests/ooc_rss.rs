@@ -50,7 +50,7 @@ fn main() {
     };
 
     // The first multiply pays the one-time costs: the worker pool, the
-    // span rings and packing arenas of its threads, code pages.
+    // first pages of the span log, code pages.
     let mut reports: Vec<OocReport> = vec![multiply()];
     let before = vm_rss_bytes();
     // Reports stay alive across the loop, as a caller that keeps them
